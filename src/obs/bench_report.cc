@@ -13,18 +13,6 @@ namespace obs {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 // %g loses precision and %f grows tails; emit the shortest round-trippable
 // form and keep JSON strictly numeric (no inf/nan).
 std::string JsonNumber(double v) {

@@ -1,14 +1,14 @@
 #include "src/obs/obs.h"
 
 #include <algorithm>
-
-#include "src/obs/trace.h"
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+
+#include "src/obs/trace.h"
 
 namespace aerie {
 namespace obs {
@@ -23,33 +23,20 @@ int InitModeFromEnv() {
       env != nullptr ? ParseMode(env) : Mode::kCounters);
   g_mode.store(mode, std::memory_order_relaxed);
   // First obs touch doubles as process attach: the telemetry plane (shm
-  // publisher, SIGUSR1 sigdump, AERIE_OBS_DUMP_FILE) starts here so every
+  // publisher, SIGUSR1 sigdump, sampling profiler) starts here so every
   // Aerie process exports without bench-specific wiring (telemetry.cc).
   StartProcessTelemetryOnce();
   return mode;
 }
 
 namespace {
-// 0 = "not yet initialized from AERIE_OBS_WINDOW_SECS".
+// 0 = the kWindowSeconds default.
 std::atomic<uint64_t> g_window_epoch_ns{0};
 }  // namespace
 
 uint64_t WindowEpochNanos() {
-  uint64_t v = g_window_epoch_ns.load(std::memory_order_relaxed);
-  if (v != 0) [[likely]] {
-    return v;
-  }
-  const char* env = std::getenv("AERIE_OBS_WINDOW_SECS");
-  double secs = env != nullptr ? std::atof(env) : 0.0;
-  if (secs <= 0.0) {
-    secs = 10.0;
-  }
-  v = static_cast<uint64_t>(secs * 1e9) / kWindowEpochs;
-  if (v == 0) {
-    v = 1;
-  }
-  g_window_epoch_ns.store(v, std::memory_order_relaxed);
-  return v;
+  const uint64_t v = g_window_epoch_ns.load(std::memory_order_relaxed);
+  return v != 0 ? v : kWindowSeconds * 1000000000ull / kWindowEpochs;
 }
 
 }  // namespace detail
@@ -72,30 +59,22 @@ void SetMode(Mode mode) {
   detail::g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
-ScopedSpan*& TlsCurrentSpan() {
-  static thread_local ScopedSpan* current = nullptr;
-  return current;
-}
-
 namespace detail {
-// Signal-handler-visible mirror of TlsCurrentSpan()->stat_ (see obs.h).
-thread_local constinit std::atomic<SpanStat*> g_tls_prof_span{nullptr};
+thread_local constinit std::atomic<SpanFrame*> g_tls_frame{nullptr};
 }  // namespace detail
 
 void AddWaitNsToCurrentSpan(WaitKind kind, uint64_t ns) {
   if (!SpansOn()) {
     return;
   }
-  SpanStat* stat = detail::g_tls_prof_span.load(std::memory_order_relaxed);
+  SpanStat* stat = detail::CurrentSpanStat();
   if (stat != nullptr) {
     stat->AddWaitNs(kind, ns);
   }
 }
 
 ScopedWait::ScopedWait(WaitKind kind, uint64_t* total_ns) {
-  const bool span_live =
-      SpansOn() &&
-      detail::g_tls_prof_span.load(std::memory_order_relaxed) != nullptr;
+  const bool span_live = SpansOn() && detail::CurrentSpanStat() != nullptr;
   const bool want_total = total_ns != nullptr && CountersOn();
   if (!span_live && !want_total) {
     return;
@@ -329,6 +308,24 @@ void ResetAll() {
   ResetFlightRecorder();
 }
 
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // RPC method stats
 
@@ -463,18 +460,6 @@ const char* ModeName(Mode mode) {
       return "spans";
   }
   return "?";
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
 }
 
 struct LayerRow {

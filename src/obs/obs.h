@@ -14,9 +14,12 @@
 //     takes a per-shard spinlock that is effectively uncontended (shards are
 //     selected by a per-thread id), so the hot path stays allocation-free.
 //   * SpanStat / ScopedSpan / AERIE_SPAN(layer, op) — scoped wall-time spans.
-//     Spans nest through a thread-local chain: a child's wall time is
-//     subtracted from its parent, so each layer's *self* time is exclusive
-//     and per-layer self times sum to end-to-end wall time.
+//     Spans nest through one thread-local chain of stack frames
+//     (detail::SpanFrame): a child's wall time is subtracted from its
+//     parent, so each layer's *self* time is exclusive and per-layer self
+//     times sum to end-to-end wall time. The same frame carries the span's
+//     trace ids (trace.h) and is what the sampling profiler (profiler.h)
+//     and ScopedWait attribute to; there is no second per-thread copy.
 //
 // Metrics are either *interned* (Registry::GetCounter("layer.op.metric");
 // live forever; the AERIE_SPAN macro interns once per call site via a
@@ -177,20 +180,21 @@ inline uint32_t ThreadShardId() {
 }
 
 // Length of one rolling-window sub-epoch in nanoseconds: the window spans
-// kWindowEpochs of these (~AERIE_OBS_WINDOW_SECS seconds total, default 10).
-// Cached after the first read; SetWindowEpochNanosForTesting overrides.
+// kWindowEpochs of these (kWindowSeconds total) unless
+// SetWindowEpochNanosForTesting overrides it.
 uint64_t WindowEpochNanos();
 
 }  // namespace detail
 
 // Number of sub-epochs in a rolling histogram window. A WindowSnapshot
 // merges the most recent kWindowEpochs epochs (including the in-progress
-// one), so tails reflect roughly the last AERIE_OBS_WINDOW_SECS seconds
-// rather than the process lifetime.
+// one), so tails reflect roughly the last kWindowSeconds seconds rather
+// than the process lifetime.
 inline constexpr int kWindowEpochs = 8;
+inline constexpr uint64_t kWindowSeconds = 10;
 
-// Overrides the sub-epoch length (0 restores the environment default on the
-// next read). Tests drive rotation with a synthetic clock through this plus
+// Overrides the sub-epoch length (0 restores the kWindowSeconds default).
+// Tests drive rotation with a synthetic clock through this plus
 // RecordAtForTesting/WindowSnapshotAt.
 void SetWindowEpochNanosForTesting(uint64_t ns);
 
@@ -347,43 +351,58 @@ class SpanStat final : public Metric {
   LatencyHistogram self_hist_;
 };
 
-// Accessor for the thread's innermost live span (defined in obs.cc).
-class ScopedSpan;
-ScopedSpan*& TlsCurrentSpan();
-
 namespace detail {
 
-// Async-signal-safe mirror of the innermost live span's stat. ScopedSpan
-// keeps it in sync with TlsCurrentSpan(); the SIGPROF handler
-// (src/obs/profiler.cc) reads only this atomic — never the stack-allocated
-// ScopedSpan chain — because a sample can land between any two instructions
-// of ctor/dtor. Values are interned SpanStat pointers, valid for the
-// process lifetime, so a stale read is at worst misattributed, never a
-// dangling dereference.
-extern thread_local constinit std::atomic<SpanStat*> g_tls_prof_span;
-
-}  // namespace detail
-
-namespace detail {
-
-// Trace-context bookkeeping for one live ScopedSpan, maintained by the
-// flight recorder (obs/trace.cc — out of line so obs.h need not see the
-// tracing internals). Begin mints/extends the thread's TraceContext and
-// stamps a begin event; End restores the previous context and stamps the
-// completed span. Only called on the spans-enabled path.
-struct TraceLink {
+// One live frame of the thread's span chain: the only per-thread span
+// state in obs. ScopedSpan pushes one per recorded span; ScopedTraceContext
+// (trace.h) pushes one with no stat to adopt a remote trace context. The
+// chain carries self-time (a child adds its wall time to its parent's
+// child_ns; a stat-less frame's child_ns is never read), the trace context
+// (CurrentTraceContext() reads the innermost frame), and the profiler's
+// span attribution (the innermost frame's stat; none for a stat-less one).
+struct SpanFrame {
+  SpanStat* stat = nullptr;  // null: trace-context frame, counts as no span
+  SpanFrame* parent = nullptr;
+  uint64_t start_ns = 0;
+  uint64_t child_ns = 0;  // wall time spent in nested spans
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   uint64_t parent_id = 0;
-  // Thread context to restore when the span ends.
-  uint64_t prev_trace_id = 0;
-  uint64_t prev_span_id = 0;
-  uint64_t prev_parent_id = 0;
 };
-// `name` must outlive the process (interned SpanStat names qualify).
-void TraceSpanBegin(const char* name, TraceLink* link);
-void TraceSpanEnd(const char* name, const TraceLink& link, uint64_t start_ns,
-                  uint64_t end_ns);
+
+// The thread's innermost live frame. A frame is published (release) after
+// its stat is set and unpublished before it dies, so the SIGPROF handler
+// (src/obs/profiler.cc), which can interrupt this thread between any two
+// instructions, only ever dereferences a live frame. Stats are interned
+// SpanStat pointers, valid for the process lifetime.
+extern thread_local constinit std::atomic<SpanFrame*> g_tls_frame;
+
+inline SpanFrame* CurrentFrame() {
+  return g_tls_frame.load(std::memory_order_relaxed);
+}
+
+// Stat of the innermost frame: null outside any span and directly under a
+// ScopedTraceContext frame. Async-signal-safe.
+inline SpanStat* CurrentSpanStat() {
+  const SpanFrame* frame = g_tls_frame.load(std::memory_order_acquire);
+  return frame != nullptr ? frame->stat : nullptr;
+}
+
+inline void PushFrame(SpanFrame* frame) {
+  frame->parent = CurrentFrame();
+  g_tls_frame.store(frame, std::memory_order_release);
+}
+
+inline void PopFrame(const SpanFrame& frame) {
+  g_tls_frame.store(frame.parent, std::memory_order_release);
+}
+
+// Flight-recorder hooks for one ScopedSpan (obs/trace.cc, out of line so
+// obs.h need not see the tracing internals). Begin sets the frame's trace
+// ids from its parent frame, minting a trace at a root, and stamps a begin
+// event; End stamps the completed span. Only called with spans on.
+void TraceSpanBegin(SpanFrame* frame);
+void TraceSpanEnd(const SpanFrame& frame, uint64_t end_ns);
 
 }  // namespace detail
 
@@ -395,41 +414,32 @@ class ScopedSpan {
     if (stat == nullptr || !SpansOn()) {
       return;
     }
-    stat_ = stat;
-    ScopedSpan*& tls = TlsCurrentSpan();
-    parent_ = tls;
-    tls = this;
-    detail::g_tls_prof_span.store(stat, std::memory_order_relaxed);
-    detail::TraceSpanBegin(stat->name().c_str(), &trace_);
-    start_ns_ = NowNanos();
+    frame_.stat = stat;
+    detail::PushFrame(&frame_);
+    detail::TraceSpanBegin(&frame_);
+    frame_.start_ns = NowNanos();
   }
 
   ~ScopedSpan() {
-    if (stat_ == nullptr) {
+    if (frame_.stat == nullptr) {
       return;
     }
     const uint64_t end_ns = NowNanos();
-    const uint64_t total = end_ns - start_ns_;
-    TlsCurrentSpan() = parent_;
-    detail::g_tls_prof_span.store(
-        parent_ != nullptr ? parent_->stat_ : nullptr,
-        std::memory_order_relaxed);
-    if (parent_ != nullptr) {
-      parent_->child_ns_ += total;
+    const uint64_t total = end_ns - frame_.start_ns;
+    detail::PopFrame(frame_);
+    if (frame_.parent != nullptr) {
+      frame_.parent->child_ns += total;
     }
-    stat_->Record(total, total >= child_ns_ ? total - child_ns_ : 0, end_ns);
-    detail::TraceSpanEnd(stat_->name().c_str(), trace_, start_ns_, end_ns);
+    frame_.stat->Record(
+        total, total >= frame_.child_ns ? total - frame_.child_ns : 0, end_ns);
+    detail::TraceSpanEnd(frame_, end_ns);
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  SpanStat* stat_ = nullptr;
-  ScopedSpan* parent_ = nullptr;
-  uint64_t start_ns_ = 0;
-  uint64_t child_ns_ = 0;  // wall time spent in nested spans
-  detail::TraceLink trace_;
+  detail::SpanFrame frame_;
 };
 
 // Charges `ns` of off-CPU wait of `kind` to the calling thread's innermost
@@ -540,6 +550,10 @@ std::string LayerBreakdownText();
 
 // Zeroes all metrics (alias for Registry::Instance().ResetAll()).
 void ResetAll();
+
+// `s` as the body of a JSON string: quote, backslash and every control
+// character escaped. The one escaper behind every obs JSON exporter.
+std::string JsonEscape(std::string_view s);
 
 // --- SCM write-amplification accounting -----------------------------------
 // The SCM primitives attribute physical media traffic per layer

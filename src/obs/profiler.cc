@@ -106,9 +106,11 @@ uint64_t RoundUpPow2(uint64_t v) {
   return p;
 }
 
-// SIGPROF handler. Constraints (DESIGN.md §9.4): relaxed atomics, errno
+// SIGPROF handler. Constraints (DESIGN.md §9.4): atomics, errno
 // save/restore, and backtrace() only — whose one unsafe act (dlopening
 // libgcc on first use) Start() triggers ahead of time from normal context.
+// The span is the stat of the interrupted thread's innermost frame
+// (obs::detail::CurrentSpanStat), which is always live when published.
 void SampleHandler(int /*sig*/) {
   const int saved_errno = errno;
   if (g_running.load(std::memory_order_relaxed)) {
@@ -128,8 +130,7 @@ void SampleHandler(int /*sig*/) {
 #endif
         const int skip = n >= 3 ? 2 : 0;  // this handler + signal trampoline
         Slot& slot = ring->slots[head & ring->mask];
-        slot.span.store(reinterpret_cast<uint64_t>(detail::g_tls_prof_span
-                            .load(std::memory_order_relaxed)),
+        slot.span.store(reinterpret_cast<uint64_t>(detail::CurrentSpanStat()),
                         std::memory_order_relaxed);
         uint32_t out = 0;
         for (int i = skip; i < n && out < kMaxFrames; ++i, ++out) {
@@ -255,18 +256,6 @@ std::string SymbolizeFrame(uintptr_t pc) {
 std::string LayerOf(const std::string& span_name) {
   const size_t dot = span_name.find('.');
   return dot == std::string::npos ? span_name : span_name.substr(0, dot);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
 }
 
 struct FoldedEntry {
@@ -421,18 +410,6 @@ void MaybeStartFromEnv() {
         return;  // unparseable value: stay off rather than guess
       }
       opt.hz = hz;
-    }
-    if (const char* hz_env = std::getenv("AERIE_PROF_HZ")) {
-      const unsigned long long hz = std::strtoull(hz_env, nullptr, 10);
-      if (hz != 0) {
-        opt.hz = hz;
-      }
-    }
-    if (const char* ring_env = std::getenv("AERIE_PROF_RING")) {
-      const unsigned long long slots = std::strtoull(ring_env, nullptr, 10);
-      if (slots != 0) {
-        opt.ring_slots = slots;
-      }
     }
     if (Start(opt)) {
       std::atexit([] {

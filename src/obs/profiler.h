@@ -3,11 +3,12 @@
 //
 // A process-wide ITIMER_PROF timer delivers SIGPROF at `hz` to whichever
 // thread is currently burning CPU. The handler — restricted to operations
-// that are async-signal-safe in practice (relaxed atomic stores plus
+// that are async-signal-safe in practice (atomic loads and stores plus
 // glibc's backtrace(), pre-warmed at Start() so its lazy libgcc dlopen
-// happens outside signal context) — captures the call stack and the
-// thread's innermost live obs span (obs::detail::g_tls_prof_span, the
-// signal-safe mirror of the ScopedSpan TLS chain) into a per-thread
+// happens outside signal context) — captures the call stack and the stat
+// of the thread's innermost span frame (obs::detail::CurrentSpanStat; the
+// ScopedSpan chain is the one per-thread span record, and a stat-less
+// ScopedTraceContext frame counts as no span) into a per-thread
 // single-producer/single-consumer ring of atomics. A collector thread
 // drains the rings every ~100 ms into folded-stack aggregates keyed by
 // (span, frames) and credits each sample's period to the span's cpu_ns, so
@@ -16,8 +17,7 @@
 // obs::ScopedWait at the instrumented blocking sites).
 //
 // Gating: AERIE_PROF=0|off disables, =1|on samples at the default rate, a
-// number is taken as hz. AERIE_PROF_HZ and AERIE_PROF_RING override the
-// rate and per-thread ring capacity. AERIE_PROF_FOLDED=<file> /
+// number is taken as hz. AERIE_PROF_FOLDED=<file> /
 // AERIE_PROF_JSON=<file> write the collapsed-stack (flamegraph.pl /
 // speedscope compatible) and JSON profile artifacts at process exit or
 // explicitly via WriteProfileFilesIfConfigured(). MaybeStartFromEnv() is
@@ -48,8 +48,8 @@ struct Options {
   uint64_t hz = 997;          // sampling rate; prime to dodge lockstep loops
   uint64_t ring_slots = 1024; // per-thread ring capacity (power of two)
   // Manual mode: no ITIMER_PROF timer and no collector thread — samples
-  // arrive only via InjectSampleForTesting and move on DrainNow(). Makes
-  // ring-overflow and folded-determinism tests exact.
+  // arrive only via InjectSampleForTesting or a raised SIGPROF and move on
+  // DrainNow(). Makes ring-overflow and folded-determinism tests exact.
   bool manual = false;
 };
 
@@ -62,9 +62,9 @@ bool Start(const Options& options = Options{});
 void Stop();
 bool IsRunning();
 
-// Reads AERIE_PROF / AERIE_PROF_HZ / AERIE_PROF_RING and starts when
-// enabled; registers an atexit hook that stops and writes any configured
-// artifacts. Called from the process-telemetry attach. Safe to call often.
+// Reads AERIE_PROF and starts when enabled; registers an atexit hook that
+// stops and writes any configured artifacts. Called from the
+// process-telemetry attach. Safe to call often.
 void MaybeStartFromEnv();
 
 // Gives the calling thread a sample ring (idempotent, cheap after the

@@ -46,10 +46,6 @@ uint64_t UnixNanos() {
 }
 
 std::string DefaultProcessName() {
-  const char* env = std::getenv("AERIE_OBS_PROCESS_NAME");
-  if (env != nullptr && env[0] != '\0') {
-    return env;
-  }
 #if defined(__GLIBC__)
   if (program_invocation_short_name != nullptr) {
     return program_invocation_short_name;
@@ -497,7 +493,7 @@ std::vector<TelemetryMetric> MergeTelemetry(
 }
 
 // ---------------------------------------------------------------------------
-// Process lifecycle: ticker thread, SIGUSR1 sigdump, atexit dump file
+// Process lifecycle: ticker thread, SIGUSR1 sigdump
 
 namespace {
 
@@ -508,7 +504,6 @@ struct ProcessTelemetry {
   std::condition_variable cv;
   bool stop = false;
   uint64_t interval_ms = 250;
-  std::string dump_file;  // raw AERIE_OBS_DUMP_FILE value (%p = pid)
   uint64_t pid = 0;
 };
 
@@ -521,44 +516,8 @@ void SigusrHandler(int) {
   g_sigdump_pending.store(1, std::memory_order_relaxed);
 }
 
-std::string ExpandDumpPath(const std::string& raw, uint64_t pid) {
-  std::string out;
-  out.reserve(raw.size() + 8);
-  for (size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i] == '%' && i + 1 < raw.size() && raw[i + 1] == 'p') {
-      out += std::to_string(pid);
-      ++i;
-    } else {
-      out += raw[i];
-    }
-  }
-  return out;
-}
-
-bool WriteStringFile(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = written == body.size() && std::fclose(f) == 0;
-  if (!ok && written != body.size()) {
-    std::fclose(f);
-  }
-  return ok;
-}
-
-void WriteDumpFileIfConfigured() {
-  if (g_process == nullptr || g_process->dump_file.empty()) {
-    return;
-  }
-  WriteStringFile(ExpandDumpPath(g_process->dump_file, g_process->pid),
-                  DumpJson() + "\n");
-}
-
-// The on-demand dump: registry to stderr (and to the dump file when
-// configured) plus the flight-recorder post-mortem trail — the same path a
-// failed AERIE_CHECK takes (trace.cc).
+// The on-demand dump: registry to stderr plus the flight-recorder
+// post-mortem trail — the same path a failed AERIE_CHECK takes (trace.cc).
 void DoSigdump() {
   std::fprintf(stderr, "== aerie SIGUSR1 dump (pid %llu) ==\n",
                static_cast<unsigned long long>(
@@ -566,7 +525,6 @@ void DoSigdump() {
   const std::string text = DumpText();
   std::fwrite(text.data(), 1, text.size(), stderr);
   DumpPostMortem();
-  WriteDumpFileIfConfigured();
 }
 
 void ProcessTelemetryTick() {
@@ -640,10 +598,6 @@ void StartProcessTelemetryOnce() {
     pt->pid = static_cast<uint64_t>(::getpid());
     pt->interval_ms =
         EnvU64("AERIE_OBS_SHM_INTERVAL_MS", 250, 10, 60000);
-    const char* dump = std::getenv("AERIE_OBS_DUMP_FILE");
-    if (dump != nullptr && dump[0] != '\0') {
-      pt->dump_file = dump;
-    }
     g_process = pt;
 
     const bool obs_on = CurrentMode() != Mode::kOff;
@@ -652,11 +606,6 @@ void StartProcessTelemetryOnce() {
     const bool sigdump_on =
         sigdump_env != nullptr && std::strcmp(sigdump_env, "1") == 0;
 
-    if (!pt->dump_file.empty()) {
-      // Clean-shutdown registry dump for every process, not just benches;
-      // multi-process runs disambiguate with %p in the path.
-      std::atexit(&WriteDumpFileIfConfigured);
-    }
     if (sigdump_on) {
       struct sigaction sa{};
       sa.sa_handler = &SigusrHandler;

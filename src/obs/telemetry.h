@@ -19,9 +19,9 @@
 // Lifecycle: obs::detail::StartProcessTelemetryOnce() (called from the
 // first obs-mode read, i.e. effectively process start) creates the
 // process-wide publisher unless AERIE_OBS=off or AERIE_OBS_SHM=0, plus the
-// opt-in SIGUSR1 sigdump (AERIE_OBS_SIGDUMP=1) and the clean-shutdown
-// registry dump (AERIE_OBS_DUMP_FILE). Segments of processes that died
-// without cleanup are garbage-collected by any later publisher or reader.
+// opt-in SIGUSR1 sigdump (AERIE_OBS_SIGDUMP=1). Segments of processes that
+// died without cleanup are garbage-collected by any later publisher or
+// reader.
 #ifndef AERIE_SRC_OBS_TELEMETRY_H_
 #define AERIE_SRC_OBS_TELEMETRY_H_
 

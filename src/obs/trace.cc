@@ -17,31 +17,9 @@ namespace obs {
 
 namespace {
 
-constexpr uint64_t kDefaultRingEvents = 4096;
-constexpr uint64_t kMinRingEvents = 64;
-constexpr uint64_t kMaxRingEvents = 1 << 20;
-
-uint64_t RoundUpPow2(uint64_t v) {
-  uint64_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
-// Per-thread ring capacity, AERIE_TRACE_RING events (rounded up to a power
-// of two). Read once; all rings share the capacity.
-uint64_t RingCapacity() {
-  static const uint64_t cap = [] {
-    const char* env = std::getenv("AERIE_TRACE_RING");
-    uint64_t v = env != nullptr ? std::strtoull(env, nullptr, 10) : 0;
-    if (v == 0) {
-      v = kDefaultRingEvents;
-    }
-    return std::clamp(RoundUpPow2(v), kMinRingEvents, kMaxRingEvents);
-  }();
-  return cap;
-}
+// Per-thread ring capacity in events (a power of two).
+constexpr uint64_t kRingEvents = 4096;
+static_assert((kRingEvents & (kRingEvents - 1)) == 0);
 
 // One recorder slot. Every field is an atomic so a concurrent dump is
 // race-free; the per-slot seqlock (seq == position+1 when the slot holds
@@ -63,14 +41,13 @@ struct Slot {
 // survive until the next reset.
 class Ring {
  public:
-  explicit Ring(uint32_t tid)
-      : tid_(tid), cap_(RingCapacity()), slots_(new Slot[cap_]) {}
+  explicit Ring(uint32_t tid) : tid_(tid), slots_(new Slot[kRingEvents]) {}
 
   void Record(TraceEventKind kind, const char* name, uint64_t trace_id,
               uint64_t span_id, uint64_t parent_id, uint64_t ts_ns,
               uint64_t dur_ns, uint64_t arg) {
     const uint64_t pos = head_.load(std::memory_order_relaxed);
-    Slot& s = slots_[pos & (cap_ - 1)];
+    Slot& s = slots_[pos & (kRingEvents - 1)];
     // Invalidate, fill, publish. A collector that observes seq == pos+1
     // both before and after reading the fields accepts the slot; tears are
     // possible only if a full ring lap happens mid-read, and then the slot
@@ -91,10 +68,10 @@ class Ring {
   void Collect(std::vector<TraceEventView>* out) const {
     const uint64_t head = head_.load(std::memory_order_acquire);
     const uint64_t floor = floor_.load(std::memory_order_acquire);
-    uint64_t begin = head > cap_ ? head - cap_ : 0;
+    uint64_t begin = head > kRingEvents ? head - kRingEvents : 0;
     begin = std::max(begin, floor);
     for (uint64_t pos = begin; pos < head; ++pos) {
-      const Slot& s = slots_[pos & (cap_ - 1)];
+      const Slot& s = slots_[pos & (kRingEvents - 1)];
       if (s.seq.load(std::memory_order_acquire) != pos + 1) {
         continue;
       }
@@ -132,7 +109,6 @@ class Ring {
 
  private:
   const uint32_t tid_;
-  const uint64_t cap_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<uint64_t> head_{0};
   std::atomic<uint64_t> floor_{0};
@@ -166,11 +142,6 @@ Ring& CurrentRing() {
   return *ring;
 }
 
-TraceContext& TlsContextRef() {
-  thread_local TraceContext ctx;
-  return ctx;
-}
-
 // Rings plus their display names, snapshotted under the lock so collection
 // itself runs unlocked (writers never take the lock at all).
 void SnapshotRings(std::vector<std::shared_ptr<Ring>>* rings,
@@ -187,33 +158,6 @@ void SnapshotRings(std::vector<std::shared_ptr<Ring>>* rings,
 
 constexpr uint64_t kSlowUnset = ~uint64_t{0};
 std::atomic<uint64_t> g_slow_us{kSlowUnset};
-
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 void MaybeDumpSlowTrace(const char* name, uint64_t trace_id,
                         uint64_t dur_ns) {
@@ -251,50 +195,42 @@ void DumpPostMortem() {
 
 namespace detail {
 
-void TraceSpanBegin(const char* name, TraceLink* link) {
+void TraceSpanBegin(SpanFrame* frame) {
   // Span-begin doubles as the profiler's thread-attach point: any thread
   // that does span-attributable work gets a sample ring before its first
   // SIGPROF can land (no-op after the first call / when not profiling).
   prof::RegisterCurrentThread();
-  TraceContext& cur = TlsContextRef();
-  link->prev_trace_id = cur.trace_id;
-  link->prev_span_id = cur.span_id;
-  link->prev_parent_id = cur.parent_id;
-  link->trace_id = cur.trace_id != 0 ? cur.trace_id : NewTraceId();
-  link->parent_id = cur.span_id;
-  link->span_id = NewSpanId();
-  cur.trace_id = link->trace_id;
-  cur.span_id = link->span_id;
-  cur.parent_id = link->parent_id;
-  CurrentRing().Record(TraceEventKind::kSpanBegin, name, link->trace_id,
-                       link->span_id, link->parent_id, NowNanos(), 0, 0);
+  const SpanFrame* parent = frame->parent;
+  const bool root = parent == nullptr || parent->trace_id == 0;
+  frame->trace_id = root ? NewTraceId() : parent->trace_id;
+  frame->parent_id = parent != nullptr ? parent->span_id : 0;
+  frame->span_id = NewSpanId();
+  CurrentRing().Record(TraceEventKind::kSpanBegin, frame->stat->name().c_str(),
+                       frame->trace_id, frame->span_id, frame->parent_id,
+                       NowNanos(), 0, 0);
 }
 
-void TraceSpanEnd(const char* name, const TraceLink& link, uint64_t start_ns,
-                  uint64_t end_ns) {
-  TraceContext& cur = TlsContextRef();
-  cur.trace_id = link.prev_trace_id;
-  cur.span_id = link.prev_span_id;
-  cur.parent_id = link.prev_parent_id;
-  const uint64_t dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
-  CurrentRing().Record(TraceEventKind::kSpanEnd, name, link.trace_id,
-                       link.span_id, link.parent_id, start_ns, dur_ns, 0);
-  if (link.prev_trace_id == 0) {
-    MaybeDumpSlowTrace(name, link.trace_id, dur_ns);
+void TraceSpanEnd(const SpanFrame& frame, uint64_t end_ns) {
+  const char* name = frame.stat->name().c_str();
+  const uint64_t dur_ns =
+      end_ns >= frame.start_ns ? end_ns - frame.start_ns : 0;
+  CurrentRing().Record(TraceEventKind::kSpanEnd, name, frame.trace_id,
+                       frame.span_id, frame.parent_id, frame.start_ns, dur_ns,
+                       0);
+  if (frame.parent == nullptr || frame.parent->trace_id == 0) {
+    MaybeDumpSlowTrace(name, frame.trace_id, dur_ns);
   }
 }
 
 }  // namespace detail
 
-TraceContext CurrentTraceContext() { return TlsContextRef(); }
-
-ScopedTraceContext::ScopedTraceContext(const TraceContext& ctx) {
-  TraceContext& cur = TlsContextRef();
-  prev_ = cur;
-  cur = ctx;
+TraceContext CurrentTraceContext() {
+  const detail::SpanFrame* frame = detail::CurrentFrame();
+  if (frame == nullptr) {
+    return TraceContext{};
+  }
+  return TraceContext{frame->trace_id, frame->span_id, frame->parent_id};
 }
-
-ScopedTraceContext::~ScopedTraceContext() { TlsContextRef() = prev_; }
 
 uint64_t NewTraceId() {
   return State().next_id.fetch_add(1, std::memory_order_relaxed);
@@ -308,7 +244,7 @@ void TraceInstant(const char* name, uint64_t arg) {
   if (!SpansOn()) {
     return;
   }
-  const TraceContext& cur = TlsContextRef();
+  const TraceContext cur = CurrentTraceContext();
   CurrentRing().Record(TraceEventKind::kInstant, name, cur.trace_id,
                        cur.span_id, cur.parent_id, NowNanos(), 0, arg);
 }
@@ -373,7 +309,7 @@ std::string DumpTraceJson() {
       std::snprintf(buf, sizeof(buf), "thread%u", tid);
       line += buf;
     } else {
-      AppendJsonEscaped(&line, name);
+      line += JsonEscape(name);
     }
     line += "\"}}";
     emit(line);
@@ -402,7 +338,7 @@ std::string DumpTraceJson() {
     std::snprintf(buf, sizeof(buf), "\"tid\":%u,\"ts\":%.3f,\"name\":\"",
                   e.tid, e.ts_ns / 1e3);
     line += buf;
-    AppendJsonEscaped(&line, e.name);
+    line += JsonEscape(e.name);
     line += "\",";
     switch (e.kind) {
       case TraceEventKind::kSpanEnd:

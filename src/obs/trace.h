@@ -4,13 +4,19 @@
 // The registry (obs.h) answers "where does time go in aggregate"; this
 // module answers "why was *this* open() slow". Every root AERIE_SPAN (one
 // with no enclosing span on its thread — in practice the PXFS/FlatFS API
-// entry points) mints a fresh trace_id; nested spans extend the thread's
-// TraceContext, and the RPC transports carry the context across the
-// client/server boundary (see WireTraceContext in src/rpc/wire.h) so
-// LockService and TFS spans are recorded as children of the client op.
+// entry points) mints a fresh trace_id; a nested span takes its trace_id
+// from its parent and its parent_id from the parent's span_id. The ids live
+// in the span's own frame of the ScopedSpan chain (obs::detail::SpanFrame),
+// so there is no separate per-thread trace context: CurrentTraceContext()
+// reads the innermost frame. The socket transport carries the context
+// across the client/server boundary (WireTraceContext in src/rpc/wire.h)
+// and the server adopts it as a stat-less frame (ScopedTraceContext), so
+// LockService and TFS spans are recorded as children of the client op. The
+// in-process transport needs nothing: dispatch runs on the caller's thread,
+// under the caller's chain.
 //
-// The flight recorder keeps the last N events per thread in a fixed ring
-// (default 4096 events, AERIE_TRACE_RING overrides; ~64 bytes/event).
+// The flight recorder keeps the last 4096 events per thread in a fixed
+// ring (~64 bytes/event).
 // Writers are lock-free: each thread owns its ring and stamps slots through
 // a per-slot seqlock, so a concurrent dump never blocks the data path and
 // never trips TSan. Dumps happen on demand (DumpTraceJson), on a failed
@@ -32,9 +38,9 @@
 namespace aerie {
 namespace obs {
 
-// The position of the current operation in its trace tree. Flows through
-// thread-local state on each thread and through RPC frames across
-// processes. trace_id == 0 means "no active trace".
+// The position of the current operation in its trace tree: the ids of the
+// thread's innermost frame, or of an RPC frame across processes.
+// trace_id == 0 means "no active trace".
 struct TraceContext {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;    // innermost live span; parent for new children
@@ -46,20 +52,27 @@ struct TraceContext {
 // This thread's current context (zero outside any traced span).
 TraceContext CurrentTraceContext();
 
-// Installs `ctx` as this thread's context and restores the previous one on
-// destruction. RPC servers wrap handler dispatch in one of these so handler
-// spans become children of the remote client span; installing an empty
-// context isolates the handler from any stale thread state.
+// Pushes a frame with no stat carrying `ctx` onto the thread's span chain,
+// and pops it on destruction. The socket server wraps handler dispatch in
+// one so handler spans become children of the remote client span; an empty
+// context makes the handler's first span a root. The frame is not a span:
+// it records nothing, time charged to it is dropped, and the profiler and
+// ScopedWait see it as "no span".
 class ScopedTraceContext {
  public:
-  explicit ScopedTraceContext(const TraceContext& ctx);
-  ~ScopedTraceContext();
+  explicit ScopedTraceContext(const TraceContext& ctx) {
+    frame_.trace_id = ctx.trace_id;
+    frame_.span_id = ctx.span_id;
+    frame_.parent_id = ctx.parent_id;
+    detail::PushFrame(&frame_);
+  }
+  ~ScopedTraceContext() { detail::PopFrame(frame_); }
 
   ScopedTraceContext(const ScopedTraceContext&) = delete;
   ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
 
  private:
-  TraceContext prev_;
+  detail::SpanFrame frame_;
 };
 
 // Fresh process-unique nonzero ids (also used by tests).

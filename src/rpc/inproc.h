@@ -1,5 +1,9 @@
 // In-process transport: direct dispatch plus a configurable simulated
 // round-trip latency (spin, not sleep, to model a loopback RPC's CPU cost).
+// Dispatch runs the handler on the caller's thread, under the caller's span
+// chain: handler spans are children of the rpc.<method> span (same trace,
+// excluded from its self time), and their RAII frames are gone again when
+// Dispatch returns, so no trace context needs carrying or restoring.
 #ifndef AERIE_SRC_RPC_INPROC_H_
 #define AERIE_SRC_RPC_INPROC_H_
 
@@ -9,7 +13,7 @@
 #include <string_view>
 
 #include "src/common/clock.h"
-#include "src/obs/trace.h"
+#include "src/obs/obs.h"
 #include "src/rpc/transport.h"
 
 namespace aerie {
@@ -39,14 +43,8 @@ class InprocTransport final : public Transport {
       obs::ScopedWait wire(obs::WaitKind::kRpc);
       SpinDelayNanos(round_trip_ns_ / 2);
     }
-    Result<std::string> result = [&] {
-      // Dispatch runs on the caller thread, so the trace context would flow
-      // implicitly — but install a scoped copy anyway, mirroring the socket
-      // transport: handler-side context changes must not leak back into the
-      // client, and both transports exercise the same propagation contract.
-      obs::ScopedTraceContext trace_scope(obs::CurrentTraceContext());
-      return dispatcher_->Dispatch(client_id_, method, request);
-    }();
+    Result<std::string> result =
+        dispatcher_->Dispatch(client_id_, method, request);
     if (round_trip_ns_ != 0) {
       obs::ScopedWait wire(obs::WaitKind::kRpc);
       SpinDelayNanos(round_trip_ns_ / 2);

@@ -171,13 +171,12 @@ void UdsServer::ServeConnection(int fd, uint64_t client_id) {
     }
     std::string_view payload = header.Remaining();
 
-    // Adopt the caller's trace context for the handler: spans opened while
-    // dispatching become children of the remote client operation. An empty
-    // context still gets installed so no state leaks between requests.
-    obs::TraceContext ctx;
-    ctx.trace_id = trace->trace_id;
-    ctx.span_id = trace->span_id;
-    obs::ScopedTraceContext trace_scope(ctx);
+    // Adopt the caller's trace context for the handler as a stat-less frame:
+    // spans opened while dispatching become children of the remote client
+    // operation, and with no remote trace the handler's first span is a
+    // root. The frame is popped before the next request is read.
+    obs::ScopedTraceContext trace_scope(
+        obs::TraceContext{trace->trace_id, trace->span_id, 0});
 
     auto result = dispatcher_->Dispatch(client_id, *method, payload);
     const uint8_t ok = result.ok() ? 1 : 0;

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -365,6 +367,37 @@ TEST_F(ObsTest, BenchReportJsonShape) {
   EXPECT_NE(json.find("\"layer\":\"benchlayer\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"benchlayer.hot_op\",\"count\":1"),
             std::string::npos);
+}
+
+// Strings from outside the process (AERIE_GIT_SHA, config text) may carry
+// quotes, backslashes and control characters; the record must still be
+// valid JSON, so every one of them is escaped and no raw control byte is
+// emitted.
+TEST_F(ObsTest, BenchReportEscapesControlCharacters) {
+  const char* prev = std::getenv("AERIE_GIT_SHA");
+  const std::string prev_sha = prev != nullptr ? prev : "";
+  ASSERT_EQ(setenv("AERIE_GIT_SHA", "ab\"c\\d\ne\x01" "f", 1), 0);
+  BenchReport report("escape_bench");
+  if (prev != nullptr) {
+    setenv("AERIE_GIT_SHA", prev_sha.c_str(), 1);
+  } else {
+    unsetenv("AERIE_GIT_SHA");
+  }
+  report.SetConfig("note", std::string("x\"y\\z\n\x01w"));
+
+  const std::string json = report.ToJson();
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0)
+      << json;
+  EXPECT_NE(json.find(R"("git_sha":"ab\"c\\d\u000ae\u0001f")"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"("note":"x\"y\\z\u000a\u0001w")"),
+            std::string::npos)
+      << json;
 }
 
 TEST_F(ObsTest, RpcMethodStatsUseRegisteredNames) {

@@ -222,6 +222,46 @@ TEST_F(ProfilerTest, ContendedLockAttributesOffCpuWait) {
 
   EXPECT_EQ(Registry::Instance().GetGauge("lock.waiters").value(), 0);
   EXPECT_TRUE(service.Release(2, 100).ok());
+
+  // A bare ScopedTraceContext frame (the socket server's dispatch wrapper)
+  // is no span: a wait or a SIGPROF sample taken directly under it is
+  // charged to no span, not to the span outside it, while one taken in a
+  // span nested under it — here lockservice.acquire, blocked on the
+  // contended lock again — is charged to that nested span.
+  prof::Options manual;
+  manual.manual = true;
+  ASSERT_TRUE(prof::Start(manual));
+  SpanStat& nested = Registry::Instance().GetSpan("proftest.nested");
+  const uint64_t acquire_wait_before = acquire_span.lock_wait_ns();
+  ASSERT_TRUE(service.Acquire(1, 101, LockMode::kExclusive, false).ok());
+  std::thread releaser2([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(service.Release(1, 101).ok());
+  });
+  {
+    ScopedSpan scope(&outer);
+    ScopedTraceContext frame(TraceContext{NewTraceId(), NewSpanId(), 0});
+    {
+      ScopedWait wait(WaitKind::kOther);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_EQ(raise(SIGPROF), 0);
+    {
+      ScopedSpan inner(&nested);
+      ASSERT_EQ(raise(SIGPROF), 0);
+    }
+    EXPECT_TRUE(service.Acquire(2, 101, LockMode::kExclusive, true).ok());
+  }
+  releaser2.join();
+  prof::DrainNow();
+  EXPECT_EQ(outer.other_wait_ns(), 0u);
+  EXPECT_EQ(outer.lock_wait_ns(), 0u);
+  EXPECT_EQ(outer.cpu_ns(), 0u);
+  EXPECT_EQ(nested.cpu_ns(), prof::GetStats().period_ns);
+  EXPECT_GE(acquire_span.lock_wait_ns() - acquire_wait_before,
+            5u * 1000 * 1000);
+  EXPECT_EQ(prof::GetStats().samples, 2u);
+  EXPECT_TRUE(service.Release(2, 101).ok());
 }
 
 // ScopedWait in counters-only mode: no span to attribute to, but the

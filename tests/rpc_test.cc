@@ -2,9 +2,11 @@
 // Unix-domain-socket transports.
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/obs/trace.h"
 #include "src/rpc/inproc.h"
 #include "src/rpc/socket.h"
@@ -125,6 +127,81 @@ TEST(InprocTest, CallsAndErrorsPropagate) {
   EXPECT_EQ(t.Call(5, "fail").code(), ErrorCode::kBusy);
   EXPECT_EQ(t.calls_made(), 2u);
   EXPECT_EQ(t.client_id(), 7u);
+}
+
+// Inproc dispatch runs the handler on the caller's thread, under the
+// caller's span chain. In spans mode one Call from inside a client span
+// must put the handler span in the client's trace as a child of the
+// rpc.<method> span, keep the handler's time out of that span's self time,
+// and leave the caller's trace context as it found it.
+TEST(InprocTest, TraceContextAndSelfTimeFollowTheSpanChain) {
+  const obs::Mode prev_mode = obs::CurrentMode();
+  obs::SetMode(obs::Mode::kSpans);
+  obs::ResetAll();
+  constexpr uint32_t kMethod = 0x7e01;
+  constexpr uint64_t kHandlerSpinNs = 2'000'000;
+  obs::SetRpcMethodName(kMethod, "t_inproc");
+
+  RpcDispatcher dispatcher;
+  dispatcher.Register(
+      kMethod, [](uint64_t, std::string_view) -> Result<std::string> {
+        AERIE_SPAN("tfs", "t_inproc_handler");
+        SpinDelayNanos(kHandlerSpinNs);
+        const obs::TraceContext ctx = obs::CurrentTraceContext();
+        WireBuffer out;
+        out.AppendU64(ctx.trace_id);
+        out.AppendU64(ctx.span_id);
+        out.AppendU64(ctx.parent_id);
+        return out.Release();
+      });
+  InprocTransport t(&dispatcher, 7);
+
+  obs::TraceContext before;
+  obs::TraceContext after;
+  Result<std::string> resp = Status(ErrorCode::kUnavailable, "not called");
+  {
+    AERIE_SPAN("pxfs", "t_inproc_client");
+    before = obs::CurrentTraceContext();
+    resp = t.Call(kMethod, "trace me");
+    after = obs::CurrentTraceContext();
+  }
+  ASSERT_TRUE(resp.ok());
+  WireReader r(*resp);
+  const uint64_t handler_trace_id = *r.ReadU64();
+  const uint64_t handler_span_id = *r.ReadU64();
+  const uint64_t handler_parent_id = *r.ReadU64();
+
+  uint64_t rpc_span_id = 0;
+  uint64_t rpc_parent_id = 0;
+  for (const obs::TraceEventView& e : obs::CollectTraceEvents()) {
+    if (e.kind == obs::TraceEventKind::kSpanEnd &&
+        std::string_view(e.name) == "rpc.t_inproc") {
+      rpc_span_id = e.span_id;
+      rpc_parent_id = e.parent_id;
+    }
+  }
+  ASSERT_TRUE(before.valid());
+  ASSERT_NE(rpc_span_id, 0u);
+  EXPECT_EQ(rpc_parent_id, before.span_id);
+  EXPECT_EQ(handler_trace_id, before.trace_id);
+  EXPECT_EQ(handler_parent_id, rpc_span_id);
+  EXPECT_NE(handler_span_id, rpc_span_id);
+
+  // rpc.<method> self time is its wall time minus the handler span's.
+  const obs::SpanStat& rpc = obs::RpcMethodStatsFor(kMethod).span;
+  const obs::SpanStat& handler =
+      obs::Registry::Instance().GetSpan("tfs.t_inproc_handler");
+  ASSERT_EQ(rpc.count(), 1u);
+  ASSERT_EQ(handler.count(), 1u);
+  EXPECT_GE(handler.total_ns(), kHandlerSpinNs);
+  EXPECT_EQ(rpc.self_ns(), rpc.total_ns() - handler.total_ns());
+
+  EXPECT_EQ(after.trace_id, before.trace_id);
+  EXPECT_EQ(after.span_id, before.span_id);
+  EXPECT_EQ(after.parent_id, before.parent_id);
+
+  obs::SetMode(prev_mode);
+  obs::ResetAll();
 }
 
 class UdsTest : public ::testing::Test {

@@ -20,7 +20,7 @@ namespace aerie {
 namespace obs {
 namespace {
 
-// Default ring capacity (no AERIE_TRACE_RING in the test environment).
+// The flight recorder's per-thread ring capacity (trace.cc).
 constexpr uint64_t kRingEvents = 4096;
 
 std::vector<TraceEventView> EventsNamed(const char* name) {

@@ -4,7 +4,7 @@
 // (`aerie.obs.<pid>`, see src/obs/telemetry.h) under /dev/shm (or
 // --dir/$AERIE_OBS_SHM_DIR), merges same-named metrics across processes,
 // and renders a refreshing table: per-layer rolling-window tail latencies
-// (p50/p95/p99 over roughly the last AERIE_OBS_WINDOW_SECS seconds),
+// (p50/p95/p99 over roughly the last obs::kWindowSeconds seconds),
 // per-RPC-method interval rates, and the per-layer SCM write-amplification
 // breakdown. `--json` takes two samples and emits one machine-readable
 // document instead (validated by tools/validate_telemetry.py in CI).
@@ -35,6 +35,7 @@
 namespace aerie {
 namespace {
 
+using obs::JsonEscape;
 using obs::TelemetryMetric;
 using obs::TelemetrySnapshot;
 
@@ -103,33 +104,6 @@ std::string PrettyBytes(uint64_t b) {
     std::snprintf(buf, sizeof(buf), "%" PRIu64 "B", b);
   }
   return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string_view LayerOf(std::string_view name) {
