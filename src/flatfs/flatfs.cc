@@ -110,7 +110,7 @@ bool FlatFs::TryDirectGet(std::string_view key, std::span<char> out,
   return true;
 }
 
-void FlatFs::StoreDirectValue(std::string_view key, LockId lock, Oid file,
+void FlatFs::CacheDirectValue(std::string_view key, LockId lock, Oid file,
                               uint64_t size) {
   if (!DirectUsable()) {
     return;
@@ -134,7 +134,7 @@ void FlatFs::StoreDirectValue(std::string_view key, LockId lock, Oid file,
   direct_values_[std::string(key)] = DirectValue{*extent, size, *epoch};
 }
 
-void FlatFs::InvalidateDirectValue(std::string_view key) {
+void FlatFs::DropDirectValue(std::string_view key) {
   std::unique_lock dlock(direct_mu_);
   direct_values_.erase(std::string(key));
 }
@@ -177,8 +177,8 @@ Status FlatFs::Put(std::string_view key, std::span<const char> data) {
     }
     // The key now points at a new file; re-cache eagerly while the bucket
     // lock is held so read-after-write stays on the direct path.
-    InvalidateDirectValue(key);
-    StoreDirectValue(key, lock, file, data.size());
+    DropDirectValue(key);
+    CacheDirectValue(key, lock, file, data.size());
   }
   fs_->clerk()->Release(lock);
   return st;
@@ -225,7 +225,7 @@ Result<uint64_t> FlatFs::Get(std::string_view key, std::span<char> out) {
                 copied = *n;
               }
             }
-            StoreDirectValue(key, lock, found->first, found->second);
+            CacheDirectValue(key, lock, found->first, found->second);
           }
         }
       }
@@ -272,7 +272,7 @@ Status FlatFs::Erase(std::string_view key) {
             std::lock_guard guard(overlay_mu_);
             pending_[std::string(key)] = PendingEntry{0, 0, true};
           }
-          InvalidateDirectValue(key);
+          DropDirectValue(key);
         }
       }
     }

@@ -103,9 +103,9 @@ class FlatFs {
   }
   bool TryDirectGet(std::string_view key, std::span<char> out, uint64_t* n);
   // Caller holds `lock` (the bucket or collection lock covering `key`).
-  void StoreDirectValue(std::string_view key, LockId lock, Oid file,
+  void CacheDirectValue(std::string_view key, LockId lock, Oid file,
                         uint64_t size);
-  void InvalidateDirectValue(std::string_view key);
+  void DropDirectValue(std::string_view key);
 
   LibFs* fs_;
   Options options_;

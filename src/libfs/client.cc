@@ -230,31 +230,6 @@ bool LibFs::DirectEnabled() {
   return enabled;
 }
 
-std::shared_ptr<const LibFs::DirectMap> LibFs::LookupDirect(Oid file) {
-  std::shared_lock lock(direct_mu_);
-  auto it = direct_maps_.find(file.offset());
-  return it == direct_maps_.end() ? nullptr : it->second;
-}
-
-void LibFs::StoreDirect(Oid file, DirectMap map) {
-  std::unique_lock lock(direct_mu_);
-  if (direct_maps_.size() >= kDirectCacheMax) {
-    direct_maps_.clear();  // coarse cap: rebuilt on demand via slow paths
-  }
-  direct_maps_[file.offset()] =
-      std::make_shared<const DirectMap>(std::move(map));
-}
-
-void LibFs::InvalidateDirect(Oid file) {
-  std::unique_lock lock(direct_mu_);
-  direct_maps_.erase(file.offset());
-}
-
-void LibFs::ClearDirectCache() {
-  std::unique_lock lock(direct_mu_);
-  direct_maps_.clear();
-}
-
 Status LibFs::SyncAndReleaseLocks() {
   AERIE_RETURN_IF_ERROR(Sync());
   clerk_->ReleaseAllGlobals();

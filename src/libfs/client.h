@@ -10,7 +10,10 @@
 //   * object pools: pre-allocated collections, mFiles and extents so create
 //     and append paths never RPC synchronously (paper §5.3.7: pools of 1000).
 //
-// Interface layers (PXFS, FlatFS) sit on top of this class.
+// Interface layers (PXFS, FlatFS) sit on top of this class and own all
+// per-file client state: shadows of pending updates and the direct-path
+// snapshot caches (DESIGN.md §10.2). libFS keeps only the direct-path gate
+// and its counters.
 #ifndef AERIE_SRC_LIBFS_CLIENT_H_
 #define AERIE_SRC_LIBFS_CLIENT_H_
 
@@ -21,14 +24,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/lock/clerk.h"
-#include "src/osd/mfile.h"
 #include "src/osd/oid.h"
 #include "src/osd/osd_context.h"
 #include "src/osd/volume.h"
@@ -120,29 +120,6 @@ class LibFs {
   // Process-wide gate: true unless AERIE_DIRECT is "off"/"0" (read once).
   static bool DirectEnabled();
 
-  // A cached extent-map snapshot plus the clerk direct-access epoch it was
-  // validated under. Interface layers fill one on the locked path (lock
-  // held, so the snapshot is coherent) and later reuse it lock-free: pin
-  // the clerk epoch, memcpy, unpin. `writable` records whether the snapshot
-  // was validated with exclusive authority (required for WriteDirect).
-  struct DirectMap {
-    MFile::DirectExtentMap map;
-    uint64_t epoch = 0;
-    bool writable = false;
-  };
-
-  // Shared-lock lookup returning the cached snapshot (no deep copy), or
-  // nullptr. A hit is only *usable* after clerk()->TryEnterDirect(epoch).
-  std::shared_ptr<const DirectMap> LookupDirect(Oid file);
-  // Inserts/replaces the snapshot for `file`. The cache is size-capped:
-  // at the cap it is cleared wholesale (rebuilt on demand) rather than
-  // growing without bound.
-  void StoreDirect(Oid file, DirectMap map);
-  // Drops one file's snapshot (any local structural change: attach,
-  // set-size, truncate) or all of them (lock release hooks).
-  void InvalidateDirect(Oid file);
-  void ClearDirectCache();
-
   void CountDirectRead(uint64_t bytes) { direct_read_bytes_.Add(bytes); }
   void CountDirectWrite(uint64_t bytes) { direct_write_bytes_.Add(bytes); }
   void CountDirectFallback() { direct_fallbacks_.Add(1); }
@@ -205,12 +182,6 @@ class LibFs {
   std::mutex pool_mu_;
   // (type, capacity) -> available oids
   std::map<std::pair<uint8_t, uint64_t>, std::vector<Oid>> pools_;
-
-  // Direct-path extent-map cache (oid offset -> snapshot). Read-mostly:
-  // lookups take the lock shared and copy only the shared_ptr.
-  static constexpr size_t kDirectCacheMax = 4096;
-  mutable std::shared_mutex direct_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const DirectMap>> direct_maps_;
 };
 
 }  // namespace aerie

@@ -43,15 +43,16 @@ Result<std::vector<std::string>> SplitPath(std::string_view path) {
   return parts;
 }
 
-std::string CanonicalPath(const std::vector<std::string>& parts) {
-  std::string out = "/";
-  for (size_t i = 0; i < parts.size(); ++i) {
-    out += parts[i];
-    if (i + 1 < parts.size()) {
-      out += "/";
+// Canonical absolute path of `parts` below the canonical directory `base`.
+std::string CanonicalPath(std::string base,
+                          const std::vector<std::string>& parts) {
+  for (const std::string& part : parts) {
+    if (base.back() != '/') {
+      base += '/';
     }
+    base += part;
   }
-  return out;
+  return base;
 }
 
 }  // namespace
@@ -63,8 +64,8 @@ Pxfs::Pxfs(LibFs* fs, const Options& options)
   //   * if it covered a file this client holds open, tell the TFS the file
   //     is open so unlink-reclaim is deferred ("clients with the file open
   //     notify the service ... when releasing the lock");
-  //   * flush everything derived from cached authority (name cache, overlay,
-  //     shadows).
+  //   * flush everything derived from cached authority (name cache,
+  //     overlays, shadows, direct snapshots).
   hook_token_ = fs_->AddReleaseHook([this](LockId) {
     // A released lock may have covered any open file (directly, or through
     // a hierarchical ancestor the clerk had cached), so every locally-open,
@@ -87,15 +88,23 @@ Pxfs::Pxfs(LibFs* fs, const Options& options)
 
 Pxfs::~Pxfs() { fs_->RemoveReleaseHook(hook_token_); }
 
-void Pxfs::ClearVolatileState() {
-  {
-    std::lock_guard lock(overlay_mu_);
-    overlay_.clear();
+void Pxfs::Forget(std::optional<Oid> oid) {
+  std::unique_lock lock(state_mu_);
+  if (!oid) {
     shadows_.clear();
+    snapshots_.clear();
+    overlay_.clear();
+    return;
   }
-  // Cached direct maps fold the shadow state just dropped, and the epoch
-  // they were validated under is moving anyway (we are inside a release).
-  fs_->ClearDirectCache();
+  shadows_.erase(oid->raw());
+  snapshots_.erase(oid->raw());
+  overlay_.erase(oid->raw());
+}
+
+void Pxfs::ClearVolatileState() {
+  // Snapshots fold the shadows, and the epoch they were validated under is
+  // moving anyway (we are inside a release), so everything goes.
+  Forget(std::nullopt);
   FlushNameCache();
 }
 
@@ -108,7 +117,7 @@ void Pxfs::FlushNameCache() {
 
 Result<Oid> Pxfs::DirLookup(Oid dir, const std::string& name) {
   {
-    std::lock_guard lock(overlay_mu_);
+    std::shared_lock lock(state_mu_);
     auto it = overlay_.find(dir.raw());
     if (it != overlay_.end()) {
       auto added = it->second.added.find(name);
@@ -129,31 +138,52 @@ Result<Oid> Pxfs::DirLookup(Oid dir, const std::string& name) {
 }
 
 void Pxfs::OverlayAdd(Oid dir, const std::string& name, Oid oid) {
-  std::lock_guard lock(overlay_mu_);
+  std::unique_lock lock(state_mu_);
   DirOverlay& ov = overlay_[dir.raw()];
   ov.added[name] = oid.raw();
   ov.removed.erase(name);
 }
 
 void Pxfs::OverlayRemove(Oid dir, const std::string& name) {
-  std::lock_guard lock(overlay_mu_);
+  std::unique_lock lock(state_mu_);
   DirOverlay& ov = overlay_[dir.raw()];
   ov.added.erase(name);
   ov.removed.insert(name);
 }
 
-std::shared_ptr<Pxfs::FileShadow> Pxfs::ShadowFor(Oid file, bool create) {
-  std::lock_guard lock(overlay_mu_);
+const Pxfs::FileShadow* Pxfs::FindShadow(Oid file) const {
   auto it = shadows_.find(file.raw());
-  if (it != shadows_.end()) {
-    return it->second;
+  return it == shadows_.end() ? nullptr : &it->second;
+}
+
+uint64_t Pxfs::ResolvePage(const FileShadow* shadow, const MFile& mfile,
+                           uint64_t page) {
+  if (shadow != nullptr) {
+    auto it = shadow->extents.find(page);
+    if (it != shadow->extents.end()) {
+      return it->second;
+    }
+    // Pages past a pending truncate are holes: their SCM mapping is
+    // scheduled to be freed when the batch applies.
+    if (page >= shadow->mfile_floor) {
+      return 0;
+    }
   }
-  if (!create) {
-    return nullptr;
+  auto found = mfile.ExtentForPage(page);
+  return found.ok() ? *found : 0;
+}
+
+uint64_t Pxfs::SizeOf(const FileShadow* shadow, const MFile& mfile) {
+  return shadow != nullptr && shadow->has_size ? shadow->size : mfile.size();
+}
+
+uint64_t Pxfs::FileSize(Oid file) {
+  auto mfile = MFile::Open(ctx_, file);
+  if (!mfile.ok()) {
+    return 0;
   }
-  auto shadow = std::make_shared<FileShadow>();
-  shadows_[file.raw()] = shadow;
-  return shadow;
+  std::shared_lock lock(state_mu_);
+  return SizeOf(FindShadow(file), *mfile);
 }
 
 Result<Pxfs::Resolved> Pxfs::Resolve(std::string_view path, bool fill_cache) {
@@ -163,15 +193,18 @@ Result<Pxfs::Resolved> Pxfs::Resolve(std::string_view path, bool fill_cache) {
   const bool relative = !path.empty() && path[0] != '/';
   Oid start = fs_->pxfs_root();
   std::vector<LockId> start_ancestors;
+  std::string start_path = "/";
   if (relative) {
     std::lock_guard lock(cwd_mu_);
     if (!cwd_oid_.IsNull()) {
       start = cwd_oid_;
       start_ancestors = cwd_ancestors_;
+      start_path = cwd_path_;
     }
   }
   AERIE_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
   Resolved out;
+  out.path = CanonicalPath(std::move(start_path), parts);
   if (parts.empty()) {
     out.parent = start;
     out.target = start;
@@ -179,12 +212,11 @@ Result<Pxfs::Resolved> Pxfs::Resolve(std::string_view path, bool fill_cache) {
     out.ancestors = start_ancestors;
     return out;
   }
-  const std::string canonical = CanonicalPath(parts);
 
   if (options_.name_cache && !relative) {
     AERIE_SPAN("namecache", "lookup");
     std::lock_guard lock(cache_mu_);
-    auto it = name_cache_.find(canonical);
+    auto it = name_cache_.find(out.path);
     if (it != name_cache_.end()) {
       cache_hits_.Add(1);
       out.parent = Oid(it->second.parent_raw);
@@ -242,25 +274,11 @@ Result<Pxfs::Resolved> Pxfs::Resolve(std::string_view path, bool fill_cache) {
       if (name_cache_.size() >= options_.name_cache_max) {
         name_cache_.clear();  // cheap wholesale eviction
       }
-      name_cache_[canonical] =
+      name_cache_[out.path] =
           CacheEntry{out.target.raw(), out.parent.raw(), out.ancestors};
     }
   }
   return out;
-}
-
-uint64_t Pxfs::FileSizeNoShadow(Oid file) {
-  auto mfile = MFile::Open(ctx_, file);
-  return mfile.ok() ? mfile->size() : 0;
-}
-
-uint64_t Pxfs::FileSize(Oid file) {
-  auto shadow = ShadowFor(file, /*create=*/false);
-  if (shadow != nullptr && shadow->has_size) {
-    return shadow->size;
-  }
-  auto mfile = MFile::Open(ctx_, file);
-  return mfile.ok() ? mfile->size() : 0;
 }
 
 // --- Open / Close ----------------------------------------------------------
@@ -290,6 +308,7 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
         clerk->Release(r.parent.lock_id());
         return pooled.status();
       }
+      Forget(*pooled);  // a recycled oid must not inherit a dead file's state
       MetaOp op;
       op.type = MetaOpType::kCreateFile;
       op.authority = clerk->GlobalAuthorityOf(r.parent.lock_id());
@@ -302,9 +321,6 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
         return st;
       }
       OverlayAdd(r.parent, r.leaf, *pooled);
-      // Pool objects can carry offsets of previously destroyed files; make
-      // sure no stale direct map aliases the newborn.
-      fs_->InvalidateDirect(*pooled);
       r.target = *pooled;
     }
     clerk->Release(r.parent.lock_id());
@@ -321,35 +337,18 @@ Result<int> Pxfs::Open(std::string_view path, int flags) {
   const LockMode mode =
       (flags & kOpenWrite) ? LockMode::kExclusive : LockMode::kShared;
   AERIE_RETURN_IF_ERROR(clerk->Acquire(r.target.lock_id(), mode, chain));
+  Status st = (flags & kOpenTrunc) ? TruncateHeld(r.target, 0) : OkStatus();
   clerk->Release(r.target.lock_id());
+  AERIE_RETURN_IF_ERROR(st);
 
-  if (flags & kOpenTrunc) {
-    MetaOp op;
-    op.type = MetaOpType::kTruncate;
-    op.authority = clerk->GlobalAuthorityOf(r.target.lock_id());
-    op.obj = r.target;
-    op.a = 0;
-    AERIE_RETURN_IF_ERROR(fs_->LogOp(std::move(op)));
-    auto shadow = ShadowFor(r.target, /*create=*/true);
-    {
-      std::lock_guard lock(overlay_mu_);
-      shadow->extents.clear();
-      shadow->size = 0;
-      shadow->has_size = true;
-      shadow->mfile_floor = 0;  // the pending truncate frees every extent
-    }
-    fs_->InvalidateDirect(r.target);
-  }
-
-  std::lock_guard lock(fds_mu_);
   auto entry = std::make_unique<FdEntry>();
   entry->oid = r.target;
-  entry->dir = r.parent;
   entry->flags = flags;
   entry->ancestors = std::move(chain);
   entry->offset = (flags & kOpenAppend) ? FileSize(r.target) : 0;
-  open_counts_[r.target.raw()]++;
 
+  std::lock_guard lock(fds_mu_);
+  open_counts_[r.target.raw()]++;
   int fd;
   if (!free_fds_.empty()) {
     fd = free_fds_.back();
@@ -368,11 +367,11 @@ Status Pxfs::Close(int fd) {
   bool notify_closed = false;
   {
     std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
+    std::unique_ptr<FdEntry>* slot = FdLocked(fd);
+    if (slot == nullptr) {
       return Status(ErrorCode::kBadHandle, "bad fd");
     }
-    entry = std::move(fds_[static_cast<size_t>(fd)]);
+    entry = std::move(*slot);
     free_fds_.push_back(fd);
     auto it = open_counts_.find(entry->oid.raw());
     if (it != open_counts_.end() && --it->second == 0) {
@@ -387,51 +386,82 @@ Status Pxfs::Close(int fd) {
   return OkStatus();
 }
 
+std::unique_ptr<Pxfs::FdEntry>* Pxfs::FdLocked(int fd) {
+  if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
+      fds_[static_cast<size_t>(fd)] == nullptr) {
+    return nullptr;
+  }
+  return &fds_[static_cast<size_t>(fd)];
+}
+
+Result<Pxfs::FdEntry> Pxfs::LookupFd(int fd) {
+  std::lock_guard lock(fds_mu_);
+  std::unique_ptr<FdEntry>* slot = FdLocked(fd);
+  if (slot == nullptr) {
+    return Status(ErrorCode::kBadHandle, "bad fd");
+  }
+  return **slot;
+}
+
+Status Pxfs::SetFdOffset(int fd, uint64_t offset) {
+  std::lock_guard lock(fds_mu_);
+  std::unique_ptr<FdEntry>* slot = FdLocked(fd);
+  if (slot == nullptr) {
+    return Status(ErrorCode::kBadHandle, "bad fd");
+  }
+  (*slot)->offset = offset;
+  return OkStatus();
+}
+
 // --- Direct data path (DESIGN.md §10) ---------------------------------------
 
-bool Pxfs::TryDirectRead(const FdEntry& entry, uint64_t offset,
-                         std::span<char> out, uint64_t* n) {
+std::shared_ptr<const Pxfs::DirectSnapshot> Pxfs::CachedSnapshot(
+    Oid file) const {
+  std::shared_lock lock(state_mu_);
+  auto it = snapshots_.find(file.raw());
+  return it == snapshots_.end() ? nullptr : it->second;
+}
+
+bool Pxfs::TryDirectRead(Oid file, uint64_t offset, std::span<char> out,
+                         uint64_t* n) {
   if (!DirectUsable()) {
     return false;
   }
-  auto map = fs_->LookupDirect(entry.oid);
-  if (map == nullptr) {
+  auto snap = CachedSnapshot(file);
+  if (snap == nullptr) {
     return false;
   }
   LockClerk* clerk = fs_->clerk();
-  if (!clerk->TryEnterDirect(map->epoch)) {
+  if (!clerk->TryEnterDirect(snap->epoch)) {
     fs_->CountDirectFallback();
     return false;
   }
-  *n = MFile::ReadDirect(ctx_.region, map->map, offset, out);
+  *n = MFile::ReadDirect(ctx_.region, snap->map, offset, out);
   clerk->ExitDirect();
   fs_->CountDirectRead(*n);
   return true;
 }
 
-bool Pxfs::TryDirectWrite(const FdEntry& entry, uint64_t offset,
+bool Pxfs::TryDirectWrite(Oid file, uint64_t offset,
                           std::span<const char> data, uint64_t* n) {
   if (!DirectUsable() || data.empty()) {
     return false;
   }
-  if ((entry.flags & kOpenWrite) == 0) {
-    return false;  // locked path owns the error
-  }
-  auto map = fs_->LookupDirect(entry.oid);
-  if (map == nullptr || !map->writable) {
+  auto snap = CachedSnapshot(file);
+  if (snap == nullptr || !snap->writable) {
     return false;
   }
   // Cheap pre-checks outside the pin: an extending write or a hole is an
   // allocation — metadata — and belongs to the locked path.
-  if (offset + data.size() > map->map.size) {
+  if (offset + data.size() > snap->map.size) {
     return false;
   }
   LockClerk* clerk = fs_->clerk();
-  if (!clerk->TryEnterDirect(map->epoch)) {
+  if (!clerk->TryEnterDirect(snap->epoch)) {
     fs_->CountDirectFallback();
     return false;
   }
-  Status st = MFile::WriteDirect(ctx_.region, map->map, offset, data,
+  Status st = MFile::WriteDirect(ctx_.region, snap->map, offset, data,
                                  options_.flush_data_on_write);
   clerk->ExitDirect();
   if (!st.ok()) {
@@ -459,50 +489,36 @@ void Pxfs::RefreshDirectMap(Oid file, LockMode mode) {
   if (!mfile.ok()) {
     return;
   }
-  LibFs::DirectMap dm;
-  dm.epoch = *epoch;
-  dm.writable = mode == LockMode::kExclusive;
-
-  // Fold this client's unshipped shadow state into the snapshot, exactly as
-  // ReadAt would resolve it: shadow extents override the persistent mapping,
-  // pages at/above a pending-truncate floor are holes, the shadow size wins.
-  uint64_t size = mfile->size();
-  uint64_t floor = ~0ull;
-  std::map<uint64_t, uint64_t> shadow_extents;
-  auto shadow = ShadowFor(file, /*create=*/false);
-  if (shadow != nullptr) {
-    std::lock_guard lock(overlay_mu_);
-    if (shadow->has_size) {
-      size = shadow->size;
+  DirectSnapshot snap;
+  snap.epoch = *epoch;
+  snap.writable = mode == LockMode::kExclusive;
+  {
+    // Resolved exactly as ReadAt resolves each page.
+    std::shared_lock lock(state_mu_);
+    const FileShadow* shadow = FindShadow(file);
+    snap.map.size = SizeOf(shadow, *mfile);
+    const uint64_t pages = (snap.map.size + kScmPageSize - 1) / kScmPageSize;
+    if (pages > kDirectMaxPages) {
+      return;  // unbounded map: such files stay on the locked path
     }
-    floor = shadow->mfile_floor;
-    shadow_extents = shadow->extents;
-  }
-  const uint64_t pages = (size + kScmPageSize - 1) / kScmPageSize;
-  if (pages > kDirectMaxPages) {
-    return;  // unbounded map: such files stay on the locked path
-  }
-  dm.map.size = size;
-  dm.map.pages.assign(pages, 0);
-  (void)mfile->ForEachExtent([&](uint64_t page, uint64_t extent) {
-    if (page < pages && page < floor) {
-      dm.map.pages[page] = extent;
-    }
-    return true;
-  });
-  for (const auto& [page, extent] : shadow_extents) {
-    if (page < pages) {
-      dm.map.pages[page] = extent;
+    snap.map.pages.resize(pages);
+    for (uint64_t page = 0; page < pages; ++page) {
+      snap.map.pages[page] = ResolvePage(shadow, *mfile, page);
     }
   }
-  fs_->StoreDirect(file, std::move(dm));
+  std::unique_lock lock(state_mu_);
+  if (snapshots_.size() >= kDirectCacheMax) {
+    snapshots_.clear();
+  }
+  snapshots_[file.raw()] =
+      std::make_shared<const DirectSnapshot>(std::move(snap));
 }
 
 void Pxfs::MaybeRefreshDirect(Oid file, bool writable) {
   if (!DirectUsable()) {
     return;
   }
-  auto cur = fs_->LookupDirect(file);
+  auto cur = CachedSnapshot(file);
   if (cur != nullptr && cur->epoch == fs_->clerk()->direct_epoch() &&
       (cur->writable || !writable)) {
     return;  // still usable as-is
@@ -513,52 +529,35 @@ void Pxfs::MaybeRefreshDirect(Oid file, bool writable) {
 
 // --- Data path ---------------------------------------------------------------
 
-Result<uint64_t> Pxfs::ReadAt(const FdEntry& entry, uint64_t offset,
-                              std::span<char> out) {
+Result<uint64_t> Pxfs::ReadAt(Oid file, uint64_t offset, std::span<char> out) {
+  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, file));
   if (options_.enforce_memory_protection) {
-    auto mfile = MFile::Open(ctx_, entry.oid);
-    if (mfile.ok()) {
-      const uint32_t rights = AclRights(mfile->acl());
-      if (rights != 0 && (rights & kAclRightRead) == 0) {
-        // Write-only file: memory protection cannot express it, so the
-        // hardware maps it no-access and reads are denied at the FS level
-        // (paper §5.3.3).
-        return Status(ErrorCode::kPermissionDenied,
-                      "file is write-only");
-      }
+    const uint32_t rights = AclRights(mfile.acl());
+    if (rights != 0 && (rights & kAclRightRead) == 0) {
+      // Write-only file: memory protection cannot express it, so the
+      // hardware maps it no-access and reads are denied at the FS level
+      // (paper §5.3.3).
+      return Status(ErrorCode::kPermissionDenied, "file is write-only");
     }
   }
-  const uint64_t file_size = FileSize(entry.oid);
+  uint64_t file_size;
+  {
+    std::shared_lock lock(state_mu_);
+    file_size = SizeOf(FindShadow(file), mfile);
+  }
   if (offset >= file_size) {
     return 0;
   }
   const uint64_t want = std::min<uint64_t>(out.size(), file_size - offset);
-  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, entry.oid));
-  auto shadow = ShadowFor(entry.oid, /*create=*/false);
-
   uint64_t done = 0;
   while (done < want) {
     const uint64_t pos = offset + done;
-    const uint64_t page = pos / kScmPageSize;
     const uint64_t in_page = pos % kScmPageSize;
     const uint64_t chunk = std::min(want - done, kScmPageSize - in_page);
-    uint64_t extent = 0;
-    uint64_t floor = ~0ull;
-    if (shadow != nullptr) {
-      std::lock_guard lock(overlay_mu_);
-      floor = shadow->mfile_floor;
-      auto it = shadow->extents.find(page);
-      if (it != shadow->extents.end()) {
-        extent = it->second;
-      }
-    }
-    // Pages past a pending truncate read as holes: their SCM mapping is
-    // scheduled to be freed when the batch applies.
-    if (extent == 0 && page < floor) {
-      auto found = mfile.ExtentForPage(page);
-      if (found.ok()) {
-        extent = *found;
-      }
+    uint64_t extent;
+    {
+      std::shared_lock lock(state_mu_);
+      extent = ResolvePage(FindShadow(file), mfile, pos / kScmPageSize);
     }
     if (extent != 0) {
       std::memcpy(out.data() + done, ctx_.region->PtrAt(extent) + in_page,
@@ -571,56 +570,45 @@ Result<uint64_t> Pxfs::ReadAt(const FdEntry& entry, uint64_t offset,
   return done;
 }
 
-Result<uint64_t> Pxfs::WriteAt(FdEntry* entry, uint64_t offset,
+Result<uint64_t> Pxfs::WriteAt(Oid file, uint64_t offset,
                                std::span<const char> data, bool* structural) {
   AERIE_SCM_LAYER("pxfs");
-  if (structural != nullptr) {
-    *structural = false;
-  }
-  if ((entry->flags & kOpenWrite) == 0) {
-    return Status(ErrorCode::kPermissionDenied, "fd not open for write");
-  }
+  *structural = false;
   if (data.empty()) {
     return 0;
   }
+  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, file));
   if (options_.enforce_memory_protection) {
-    auto mfile = MFile::Open(ctx_, entry->oid);
-    if (mfile.ok()) {
-      const uint32_t rights = AclRights(mfile->acl());
-      if (rights != 0 && (rights & kAclRightRead) == 0) {
-        // Write-only: FS-level permissions allow the write, but memory
-        // protection maps the extents no-access — route the data through
-        // the trusted service (paper §5.3.3: "the library calls into the
-        // TFS for any operations allowed by file system level permissions
-        // but prevented by memory protection").
-        AERIE_RETURN_IF_ERROR(fs_->ServiceWrite(entry->oid, offset, data));
-        auto shadow = ShadowFor(entry->oid, /*create=*/true);
-        std::lock_guard lock(overlay_mu_);
-        if (!shadow->has_size || offset + data.size() > shadow->size) {
-          shadow->size = offset + data.size();
-          shadow->has_size = true;
-        }
-        AERIE_COUNT_N("pxfs.api.logical_write_bytes", data.size());
-        return data.size();
+    const uint32_t rights = AclRights(mfile.acl());
+    if (rights != 0 && (rights & kAclRightRead) == 0) {
+      // Write-only: FS-level permissions allow the write, but memory
+      // protection maps the extents no-access — route the data through
+      // the trusted service (paper §5.3.3: "the library calls into the
+      // TFS for any operations allowed by file system level permissions
+      // but prevented by memory protection").
+      AERIE_RETURN_IF_ERROR(fs_->ServiceWrite(file, offset, data));
+      std::unique_lock lock(state_mu_);
+      FileShadow& shadow = shadows_[file.raw()];
+      if (!shadow.has_size || offset + data.size() > shadow.size) {
+        shadow.size = offset + data.size();
+        shadow.has_size = true;
       }
-      if (rights != 0 && (rights & kAclRightWrite) == 0) {
-        return Status(ErrorCode::kPermissionDenied, "file is read-only");
-      }
+      AERIE_COUNT_N("pxfs.api.logical_write_bytes", data.size());
+      return data.size();
+    }
+    if (rights != 0 && (rights & kAclRightWrite) == 0) {
+      return Status(ErrorCode::kPermissionDenied, "file is read-only");
     }
   }
-  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, entry->oid));
-  LockClerk* clerk = fs_->clerk();
-  auto shadow = ShadowFor(entry->oid, /*create=*/true);
+  const uint64_t authority = fs_->clerk()->GlobalAuthorityOf(file.lock_id());
 
-  // One overlay critical section for the whole call; attach ops are logged
-  // in bulk afterwards (a 128KB write is 32 pages — per-page locking and
-  // logging would dominate).
-  const uint64_t authority =
-      clerk->GlobalAuthorityOf(entry->oid.lock_id());
+  // One critical section for the whole call; attach ops are logged in bulk
+  // afterwards (a 128KB write is 32 pages — per-page locking and logging
+  // would dominate).
   std::vector<MetaOp> attach_ops;
   {
-    std::lock_guard lock(overlay_mu_);
-    const uint64_t floor = shadow->mfile_floor;
+    std::unique_lock lock(state_mu_);
+    FileShadow& shadow = shadows_[file.raw()];
     uint64_t done = 0;
     while (done < data.size()) {
       const uint64_t pos = offset + done;
@@ -628,20 +616,7 @@ Result<uint64_t> Pxfs::WriteAt(FdEntry* entry, uint64_t offset,
       const uint64_t in_page = pos % kScmPageSize;
       const uint64_t chunk =
           std::min<uint64_t>(data.size() - done, kScmPageSize - in_page);
-
-      uint64_t extent = 0;
-      auto it = shadow->extents.find(page);
-      if (it != shadow->extents.end()) {
-        extent = it->second;
-      }
-      if (extent == 0 && page < floor) {
-        // The persistent mapping is only trustworthy below any pending
-        // truncate point (the truncate will free those extents at apply).
-        auto found = mfile.ExtentForPage(page);
-        if (found.ok()) {
-          extent = *found;
-        }
-      }
+      uint64_t extent = ResolvePage(&shadow, mfile, page);
       if (extent != 0) {
         // Data writes go straight to SCM; no service involvement (§4.2).
         ctx_.region->StreamWrite(ctx_.region->PtrAt(extent) + in_page,
@@ -665,289 +640,191 @@ Result<uint64_t> Pxfs::WriteAt(FdEntry* entry, uint64_t offset,
         MetaOp op;
         op.type = MetaOpType::kAttachExtent;
         op.authority = authority;
-        op.obj = entry->oid;
+        op.obj = file;
         op.a = page;
         op.b = extent;
         attach_ops.push_back(std::move(op));
-        shadow->extents[page] = extent;
+        shadow.extents[page] = extent;
       }
       done += chunk;
     }
     const uint64_t new_end = offset + data.size();
-    const uint64_t old_size =
-        shadow->has_size ? shadow->size : mfile.size();
-    if (new_end > old_size) {
+    if (new_end > SizeOf(&shadow, mfile)) {
       MetaOp op;
       op.type = MetaOpType::kSetSize;
       op.authority = authority;
-      op.obj = entry->oid;
+      op.obj = file;
       op.a = new_end;
       attach_ops.push_back(std::move(op));
-      shadow->size = new_end;
-      shadow->has_size = true;
+      shadow.size = new_end;
+      shadow.has_size = true;
+    }
+    if (!attach_ops.empty()) {
+      // Structural change: the cached snapshot no longer matches (new
+      // pages attached and/or a new size).
+      *structural = true;
+      snapshots_.erase(file.raw());
     }
   }
   if (options_.flush_data_on_write) {
     ctx_.region->BFlush();
   }
   if (!attach_ops.empty()) {
-    // Structural change: any cached extent map for this file is now stale
-    // (new pages attached and/or a new size).
-    if (structural != nullptr) {
-      *structural = true;
-    }
-    fs_->InvalidateDirect(entry->oid);
     AERIE_RETURN_IF_ERROR(fs_->LogOps(std::move(attach_ops)));
   }
   AERIE_COUNT_N("pxfs.api.logical_write_bytes", data.size());
   return data.size();
 }
 
-Result<uint64_t> Pxfs::Read(int fd, std::span<char> out) {
-  AERIE_SPAN("pxfs", "read");
-  FdEntry* entry;
-  uint64_t offset;
-  {
-    std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
+Result<uint64_t> Pxfs::ReadFd(int fd, std::optional<uint64_t> pos,
+                              std::span<char> out) {
+  AERIE_ASSIGN_OR_RETURN(FdEntry entry, LookupFd(fd));
+  const uint64_t offset = pos.value_or(entry.offset);
+  uint64_t n = 0;
+  if (!TryDirectRead(entry.oid, offset, out, &n)) {
+    LockClerk* clerk = fs_->clerk();
+    AERIE_RETURN_IF_ERROR(clerk->Acquire(entry.oid.lock_id(),
+                                         LockMode::kShared, entry.ancestors));
+    auto read = ReadAt(entry.oid, offset, out);
+    if (read.ok()) {
+      MaybeRefreshDirect(entry.oid, /*writable=*/false);
     }
-    entry = fds_[static_cast<size_t>(fd)].get();
-    offset = entry->offset;
+    clerk->Release(entry.oid.lock_id());
+    AERIE_ASSIGN_OR_RETURN(n, std::move(read));
   }
-  uint64_t direct_n = 0;
-  if (TryDirectRead(*entry, offset, out, &direct_n)) {
-    std::lock_guard lock(fds_mu_);
-    entry->offset = offset + direct_n;
-    return direct_n;
-  }
-  LockClerk* clerk = fs_->clerk();
-  AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(entry->oid.lock_id(), LockMode::kShared,
-                     entry->ancestors));
-  auto n = ReadAt(*entry, offset, out);
-  if (n.ok()) {
-    MaybeRefreshDirect(entry->oid, /*writable=*/false);
-  }
-  clerk->Release(entry->oid.lock_id());
-  if (n.ok()) {
-    std::lock_guard lock(fds_mu_);
-    entry->offset = offset + *n;
+  if (!pos) {
+    (void)SetFdOffset(fd, offset + n);
   }
   return n;
+}
+
+Result<uint64_t> Pxfs::WriteFd(int fd, std::optional<uint64_t> pos,
+                               std::span<const char> data) {
+  AERIE_ASSIGN_OR_RETURN(FdEntry entry, LookupFd(fd));
+  if ((entry.flags & kOpenWrite) == 0) {
+    return Status(ErrorCode::kPermissionDenied, "fd not open for write");
+  }
+  const bool append = !pos && (entry.flags & kOpenAppend) != 0;
+  uint64_t offset = pos.value_or(entry.offset);
+  uint64_t n = 0;
+  if (append || !TryDirectWrite(entry.oid, offset, data, &n)) {
+    LockClerk* clerk = fs_->clerk();
+    AERIE_RETURN_IF_ERROR(clerk->Acquire(
+        entry.oid.lock_id(), LockMode::kExclusive, entry.ancestors));
+    if (append) {
+      // Only now, with the grant held, has every other writer's append
+      // reached this client's view of the file.
+      offset = FileSize(entry.oid);
+    }
+    bool structural = false;
+    auto written = WriteAt(entry.oid, offset, data, &structural);
+    // Appends mutate the map every call; caching after one would thrash. A
+    // non-structural (overwrite) slow path is the signal the file's map is
+    // worth caching for the direct path.
+    if (written.ok() && !structural) {
+      MaybeRefreshDirect(entry.oid, /*writable=*/true);
+    }
+    clerk->Release(entry.oid.lock_id());
+    AERIE_ASSIGN_OR_RETURN(n, std::move(written));
+  }
+  if (!pos) {
+    (void)SetFdOffset(fd, offset + n);
+  }
+  return n;
+}
+
+Result<uint64_t> Pxfs::Read(int fd, std::span<char> out) {
+  AERIE_SPAN("pxfs", "read");
+  return ReadFd(fd, std::nullopt, out);
 }
 
 Result<uint64_t> Pxfs::Write(int fd, std::span<const char> data) {
   AERIE_SPAN("pxfs", "write");
-  FdEntry* entry;
-  uint64_t offset;
-  {
-    std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
-    }
-    entry = fds_[static_cast<size_t>(fd)].get();
-    offset = (entry->flags & kOpenAppend) ? FileSize(entry->oid)
-                                          : entry->offset;
-  }
-  uint64_t direct_n = 0;
-  if ((entry->flags & kOpenAppend) == 0 &&
-      TryDirectWrite(*entry, offset, data, &direct_n)) {
-    std::lock_guard lock(fds_mu_);
-    entry->offset = offset + direct_n;
-    return direct_n;
-  }
-  LockClerk* clerk = fs_->clerk();
-  AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(entry->oid.lock_id(), LockMode::kExclusive,
-                     entry->ancestors));
-  bool structural = false;
-  auto n = WriteAt(entry, offset, data, &structural);
-  // Appends mutate the map every call; caching after one would thrash. A
-  // non-structural (overwrite) slow path is the signal the file's map is
-  // worth caching for the direct path.
-  if (n.ok() && !structural) {
-    MaybeRefreshDirect(entry->oid, /*writable=*/true);
-  }
-  clerk->Release(entry->oid.lock_id());
-  if (n.ok()) {
-    std::lock_guard lock(fds_mu_);
-    entry->offset = offset + *n;
-  }
-  return n;
+  return WriteFd(fd, std::nullopt, data);
 }
 
 Result<uint64_t> Pxfs::Pread(int fd, uint64_t offset, std::span<char> out) {
   AERIE_SPAN("pxfs", "pread");
-  std::unique_lock lock(fds_mu_);
-  if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-      fds_[static_cast<size_t>(fd)] == nullptr) {
-    return Status(ErrorCode::kBadHandle, "bad fd");
-  }
-  FdEntry* entry = fds_[static_cast<size_t>(fd)].get();
-  lock.unlock();
-  uint64_t direct_n = 0;
-  if (TryDirectRead(*entry, offset, out, &direct_n)) {
-    return direct_n;
-  }
-  LockClerk* clerk = fs_->clerk();
-  AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(entry->oid.lock_id(), LockMode::kShared,
-                     entry->ancestors));
-  auto n = ReadAt(*entry, offset, out);
-  if (n.ok()) {
-    MaybeRefreshDirect(entry->oid, /*writable=*/false);
-  }
-  clerk->Release(entry->oid.lock_id());
-  return n;
+  return ReadFd(fd, offset, out);
 }
 
 Result<uint64_t> Pxfs::Pwrite(int fd, uint64_t offset,
                               std::span<const char> data) {
   AERIE_SPAN("pxfs", "pwrite");
-  std::unique_lock lock(fds_mu_);
-  if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-      fds_[static_cast<size_t>(fd)] == nullptr) {
-    return Status(ErrorCode::kBadHandle, "bad fd");
-  }
-  FdEntry* entry = fds_[static_cast<size_t>(fd)].get();
-  lock.unlock();
-  uint64_t direct_n = 0;
-  if (TryDirectWrite(*entry, offset, data, &direct_n)) {
-    return direct_n;
-  }
-  LockClerk* clerk = fs_->clerk();
-  AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(entry->oid.lock_id(), LockMode::kExclusive,
-                     entry->ancestors));
-  bool structural = false;
-  auto n = WriteAt(entry, offset, data, &structural);
-  if (n.ok() && !structural) {
-    MaybeRefreshDirect(entry->oid, /*writable=*/true);
-  }
-  clerk->Release(entry->oid.lock_id());
-  return n;
+  return WriteFd(fd, offset, data);
 }
 
 Result<uint64_t> Pxfs::Seek(int fd, uint64_t offset) {
   AERIE_SPAN("pxfs", "seek");
-  std::lock_guard lock(fds_mu_);
-  if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-      fds_[static_cast<size_t>(fd)] == nullptr) {
-    return Status(ErrorCode::kBadHandle, "bad fd");
-  }
-  fds_[static_cast<size_t>(fd)]->offset = offset;
+  AERIE_RETURN_IF_ERROR(SetFdOffset(fd, offset));
   return offset;
+}
+
+Status Pxfs::TruncateHeld(Oid file, uint64_t size) {
+  AERIE_SCM_LAYER("pxfs");
+  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, file));
+  MetaOp op;
+  op.type = MetaOpType::kTruncate;
+  op.authority = fs_->clerk()->GlobalAuthorityOf(file.lock_id());
+  op.obj = file;
+  op.a = size;
+  AERIE_RETURN_IF_ERROR(fs_->LogOp(std::move(op)));
+  std::unique_lock lock(state_mu_);
+  FileShadow& shadow = shadows_[file.raw()];
+  const uint64_t old_size = SizeOf(&shadow, mfile);
+  shadow.size = size;
+  shadow.has_size = true;
+  const uint64_t keep = (size + kScmPageSize - 1) / kScmPageSize;
+  shadow.mfile_floor = std::min(shadow.mfile_floor, keep);
+  shadow.extents.erase(shadow.extents.lower_bound(keep),
+                       shadow.extents.end());
+  snapshots_.erase(file.raw());
+  // POSIX zero-fill: the boundary page's tail must not resurface if the
+  // file is extended later. The server's apply does the same for the
+  // persistent mapping; this covers the client's pending-extent view.
+  if (size < old_size && size % kScmPageSize != 0) {
+    const uint64_t extent =
+        ResolvePage(&shadow, mfile, size / kScmPageSize);
+    if (extent != 0) {
+      char* data = ctx_.region->PtrAt(extent);
+      const uint64_t in_page = size % kScmPageSize;
+      std::memset(data + in_page, 0, kScmPageSize - in_page);
+      ctx_.region->WlFlush(data + in_page, kScmPageSize - in_page);
+    }
+  }
+  return OkStatus();
 }
 
 Status Pxfs::Ftruncate(int fd, uint64_t size) {
   AERIE_SPAN("pxfs", "ftruncate");
-  AERIE_SCM_LAYER("pxfs");
-  Oid oid;
-  {
-    std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
-    }
-    if ((fds_[static_cast<size_t>(fd)]->flags & kOpenWrite) == 0) {
-      return Status(ErrorCode::kPermissionDenied, "fd not open for write");
-    }
-    oid = fds_[static_cast<size_t>(fd)]->oid;
+  AERIE_ASSIGN_OR_RETURN(FdEntry entry, LookupFd(fd));
+  if ((entry.flags & kOpenWrite) == 0) {
+    return Status(ErrorCode::kPermissionDenied, "fd not open for write");
   }
   LockClerk* clerk = fs_->clerk();
-  std::vector<LockId> chain;
-  {
-    std::lock_guard lock(fds_mu_);
-    chain = fds_[static_cast<size_t>(fd)]->ancestors;
-  }
-  AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(oid.lock_id(), LockMode::kExclusive, chain));
-  MetaOp op;
-  op.type = MetaOpType::kTruncate;
-  op.authority = clerk->GlobalAuthorityOf(oid.lock_id());
-  op.obj = oid;
-  op.a = size;
-  Status st = fs_->LogOp(std::move(op));
-  if (st.ok()) {
-    auto shadow = ShadowFor(oid, /*create=*/true);
-    std::lock_guard lock(overlay_mu_);
-    const uint64_t old_size = shadow->has_size
-                                  ? shadow->size
-                                  : FileSizeNoShadow(oid);
-    shadow->size = size;
-    shadow->has_size = true;
-    const uint64_t keep = (size + kScmPageSize - 1) / kScmPageSize;
-    shadow->mfile_floor = std::min(shadow->mfile_floor, keep);
-    for (auto it = shadow->extents.lower_bound(keep);
-         it != shadow->extents.end();) {
-      it = shadow->extents.erase(it);
-    }
-    // POSIX zero-fill: the boundary page's tail must not resurface if the
-    // file is extended later. The server's apply does the same for the
-    // persistent mapping; this covers the client's pending-extent view.
-    if (size < old_size && size % kScmPageSize != 0) {
-      const uint64_t page = size / kScmPageSize;
-      uint64_t extent = 0;
-      auto sit = shadow->extents.find(page);
-      if (sit != shadow->extents.end()) {
-        extent = sit->second;
-      } else {
-        auto mfile = MFile::Open(ctx_, oid);
-        if (mfile.ok()) {
-          auto found = mfile->ExtentForPage(page);
-          if (found.ok()) {
-            extent = *found;
-          }
-        }
-      }
-      if (extent != 0) {
-        char* data = ctx_.region->PtrAt(extent);
-        const uint64_t in_page = size % kScmPageSize;
-        std::memset(data + in_page, 0, kScmPageSize - in_page);
-        ctx_.region->WlFlush(data + in_page, kScmPageSize - in_page);
-      }
-    }
-  }
-  if (st.ok()) {
-    fs_->InvalidateDirect(oid);
-  }
-  clerk->Release(oid.lock_id());
+  AERIE_RETURN_IF_ERROR(clerk->Acquire(entry.oid.lock_id(),
+                                       LockMode::kExclusive, entry.ancestors));
+  Status st = TruncateHeld(entry.oid, size);
+  clerk->Release(entry.oid.lock_id());
   return st;
 }
 
 Status Pxfs::Fsync(int fd) {
   AERIE_SPAN("pxfs", "fsync");
   AERIE_SCM_LAYER("pxfs");
-  {
-    std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
-    }
-  }
+  AERIE_RETURN_IF_ERROR(LookupFd(fd).status());
   ctx_.region->BFlush();
   return fs_->Sync();
 }
 
 Result<PxfsStat> Pxfs::Fstat(int fd) {
   AERIE_SPAN("pxfs", "fstat");
-  Oid oid;
-  {
-    std::lock_guard lock(fds_mu_);
-    if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
-        fds_[static_cast<size_t>(fd)] == nullptr) {
-      return Status(ErrorCode::kBadHandle, "bad fd");
-    }
-    oid = fds_[static_cast<size_t>(fd)]->oid;
-  }
-  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, oid));
+  AERIE_ASSIGN_OR_RETURN(FdEntry entry, LookupFd(fd));
+  AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, entry.oid));
   PxfsStat st;
-  st.oid = oid;
+  st.oid = entry.oid;
   st.is_dir = false;
-  st.size = FileSize(oid);
+  st.size = FileSize(entry.oid);
   st.link_count = mfile.link_count();
   st.acl = mfile.acl();
   return st;
@@ -978,6 +855,7 @@ Status Pxfs::Mkdir(std::string_view path) {
     if (!pooled.ok()) {
       st = pooled.status();
     } else {
+      Forget(*pooled);
       MetaOp op;
       op.type = MetaOpType::kCreateDir;
       op.authority = clerk->GlobalAuthorityOf(r.parent.lock_id());
@@ -1027,10 +905,6 @@ Status Pxfs::UnlinkLocked(const Resolved& r) {
   op.name = r.leaf;
   AERIE_RETURN_IF_ERROR(fs_->LogOp(std::move(op)));
   OverlayRemove(r.parent, r.leaf);
-  // The object may be reclaimed at apply and its offset recycled into a
-  // fresh pool object; a lingering map keyed by that offset must not alias
-  // the new file.
-  fs_->InvalidateDirect(r.target);
   return OkStatus();
 }
 
@@ -1050,7 +924,7 @@ Status Pxfs::Unlink(std::string_view path) {
   clerk->Release(r.parent.lock_id());
   if (st.ok()) {
     std::lock_guard lock(cache_mu_);
-    name_cache_.erase(std::string(path));
+    name_cache_.erase(r.path);
   }
   return st;
 }
@@ -1080,7 +954,7 @@ Status Pxfs::Rmdir(std::string_view path) {
         return true;
       });
     }
-    std::lock_guard lock(overlay_mu_);
+    std::shared_lock lock(state_mu_);
     auto it = overlay_.find(r.target.raw());
     if (it != overlay_.end() && !it->second.added.empty()) {
       empty = false;
@@ -1155,11 +1029,6 @@ Status Pxfs::Rename(std::string_view from, std::string_view to) {
   if (st.ok()) {
     OverlayRemove(src.parent, src.leaf);
     OverlayAdd(dst.parent, dst.leaf, src.target);
-    if (!dst.target.IsNull() && dst.target.type() == ObjType::kMFile) {
-      // The replaced destination may be destroyed at apply; its offset must
-      // not alias a future pool object through a stale direct map.
-      fs_->InvalidateDirect(dst.target);
-    }
   }
   if (b != a) {
     clerk->Release(b);
@@ -1171,8 +1040,8 @@ Status Pxfs::Rename(std::string_view from, std::string_view to) {
       FlushNameCache();  // all descendant paths moved
     } else {
       std::lock_guard lock(cache_mu_);
-      name_cache_.erase(std::string(from));
-      name_cache_.erase(std::string(to));
+      name_cache_.erase(src.path);
+      name_cache_.erase(dst.path);
     }
   }
   return st;
@@ -1244,7 +1113,7 @@ Result<PxfsStat> Pxfs::Stat(std::string_view path) {
       if (st.link_count == 0) {
         // Batched create not yet applied: the overlay binding counts as the
         // first link.
-        std::lock_guard lock(overlay_mu_);
+        std::shared_lock lock(state_mu_);
         auto it = overlay_.find(r.parent.raw());
         if (it != overlay_.end()) {
           auto added = it->second.added.find(r.leaf);
@@ -1299,7 +1168,7 @@ Result<std::vector<PxfsDirent>> Pxfs::ReadDir(std::string_view path) {
   AERIE_RETURN_IF_ERROR(scan_status);
 
   {
-    std::lock_guard lock(overlay_mu_);
+    std::shared_lock lock(state_mu_);
     auto it = overlay_.find(r.target.raw());
     if (it != overlay_.end()) {
       for (const auto& [name, oid] : it->second.added) {
@@ -1368,7 +1237,7 @@ Status Pxfs::SetCwd(std::string_view path) {
   if (!(r.target == r.parent)) {
     cwd_ancestors_.push_back(r.parent.lock_id());
   }
-  cwd_path_ = std::string(path);
+  cwd_path_ = r.path;
   return OkStatus();
 }
 

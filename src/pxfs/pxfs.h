@@ -12,9 +12,13 @@
 //     configuration disables it);
 //   * creates/writes take objects and extents from libFS pools, write data
 //     directly, and log metadata ops into the batch;
-//   * a volatile *shadow* layer (per-directory name overlay + per-file
-//     pending-extent/size shadows) makes this client's batched-but-unshipped
-//     updates visible to its own operations (§6.1 "Storage Objects");
+//   * all volatile per-file client state lives here, keyed by oid under
+//     one lock: a *shadow* of each file's batched-but-unshipped extents and
+//     size, which makes them visible to this client's own operations
+//     (§6.1 "Storage Objects"), its direct-path extent-map snapshot
+//     (DESIGN.md §10), and a per-directory name overlay for pending
+//     namespace updates. It dies together (Forget): when a pooled oid is
+//     born again here, or when a global lock leaves this client;
 //   * directory write locks are hierarchical (XH) by default, so file locks
 //     under a directory are granted locally by the clerk;
 //   * unlink-while-open: the client notifies the TFS a file is open before
@@ -31,7 +35,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -135,6 +141,16 @@ class Pxfs {
   void FlushNameCache();
 
  private:
+  // A file's extent map (persistent mapping folded with this client's
+  // shadow) plus the clerk direct-access epoch it was validated under. Used
+  // lock-free: pin the epoch, memcpy, unpin. `writable` records exclusive
+  // authority at snapshot time (required for WriteDirect).
+  struct DirectSnapshot {
+    MFile::DirectExtentMap map;
+    uint64_t epoch = 0;
+    bool writable = false;
+  };
+  // This client's batched-but-unshipped view of one file.
   struct FileShadow {
     std::map<uint64_t, uint64_t> extents;  // page index -> extent offset
     uint64_t size = 0;
@@ -150,7 +166,6 @@ class Pxfs {
   };
   struct FdEntry {
     Oid oid;
-    Oid dir;  // containing directory at open time
     uint64_t offset = 0;
     int flags = 0;
     std::vector<LockId> ancestors;  // lock chain root..parent (incl parent)
@@ -159,6 +174,7 @@ class Pxfs {
     Oid parent;               // directory containing the leaf
     Oid target;               // null if the leaf does not exist
     std::string leaf;         // final path component ("" for root)
+    std::string path;         // canonical absolute path (name-cache key)
     std::vector<LockId> ancestors;  // locks root..parent (excludes target)
   };
   struct CacheEntry {
@@ -178,47 +194,81 @@ class Pxfs {
   // Overlay bookkeeping (call *after* LogOp; see implementation note).
   void OverlayAdd(Oid dir, const std::string& name, Oid oid);
   void OverlayRemove(Oid dir, const std::string& name);
-  void ClearVolatileState();  // overlay + shadows + name cache
 
-  std::shared_ptr<FileShadow> ShadowFor(Oid file, bool create);
+  // Drops everything keyed by `oid` (shadow, direct snapshot, directory
+  // overlay), or by every oid when `oid` is empty. Runs when a pooled oid
+  // is born here, since the pool may hand back a dead object's oid.
+  void Forget(std::optional<Oid> oid);
+  // Forget(everything) + name cache: a global lock left this client.
+  void ClearVolatileState();
+
+  // --- Shadows; callers hold state_mu_ (`shadow` may be null) ---
+  const FileShadow* FindShadow(Oid file) const;
+  // Where `page` lives for this client: its shadow extent, else the
+  // persistent extent below the truncate floor, else 0 (a hole).
+  static uint64_t ResolvePage(const FileShadow* shadow, const MFile& mfile,
+                              uint64_t page);
+  static uint64_t SizeOf(const FileShadow* shadow, const MFile& mfile);
+
+  // This client's view of the file size (takes state_mu_).
+  uint64_t FileSize(Oid file);
 
   LockMode DirWriteMode() const {
     return options_.hierarchical_dir_locks ? LockMode::kExclusiveHier
                                            : LockMode::kExclusive;
   }
 
-  Result<uint64_t> ReadAt(const FdEntry& entry, uint64_t offset,
+  // --- File descriptors ---
+  // fds_mu_ held: the slot of an open fd, or null for a bad one.
+  std::unique_ptr<FdEntry>* FdLocked(int fd);
+  // A copy of `fd`'s entry, so callers never touch fds_ unguarded.
+  Result<FdEntry> LookupFd(int fd);
+  // Sets `fd`'s offset (kBadHandle if it is not open).
+  Status SetFdOffset(int fd, uint64_t offset);
+
+  // Read/Pread and Write/Pwrite: an empty `pos` uses the fd's offset (the
+  // end of file for O_APPEND writes) and advances it.
+  Result<uint64_t> ReadFd(int fd, std::optional<uint64_t> pos,
                           std::span<char> out);
-  // `structural` (optional) reports whether the write attached extents or
-  // changed the size — i.e. whether cached extent maps went stale.
-  Result<uint64_t> WriteAt(FdEntry* entry, uint64_t offset,
-                           std::span<const char> data,
-                           bool* structural = nullptr);
+  Result<uint64_t> WriteFd(int fd, std::optional<uint64_t> pos,
+                           std::span<const char> data);
+  // Caller holds the file lock. `structural` reports whether the write
+  // attached extents or changed the size.
+  Result<uint64_t> ReadAt(Oid file, uint64_t offset, std::span<char> out);
+  Result<uint64_t> WriteAt(Oid file, uint64_t offset,
+                           std::span<const char> data, bool* structural);
+  // Caller holds the file's lock exclusively: logs the truncate and applies
+  // it to the shadow.
+  Status TruncateHeld(Oid file, uint64_t size);
 
   // --- Direct data path (DESIGN.md §10) ---
   // Upper bound on cacheable file size: one map entry per 4KB page.
   static constexpr uint64_t kDirectMaxPages = 1 << 16;  // 256MB
+  // Snapshot-cache cap: reaching it drops every snapshot (rebuilt on demand
+  // by slow paths) but no shadow state.
+  static constexpr size_t kDirectCacheMax = 4096;
 
   bool DirectUsable() const {
     return options_.direct_data && !options_.enforce_memory_protection &&
            LibFs::DirectEnabled();
   }
+  // Shared-locked lookup; a hit is only usable after
+  // clerk()->TryEnterDirect(epoch).
+  std::shared_ptr<const DirectSnapshot> CachedSnapshot(Oid file) const;
   // Lock-free fast paths: true (with *n set) when the op completed against
-  // a cached extent map under a pinned direct epoch; false means the caller
+  // a cached snapshot under a pinned direct epoch; false means the caller
   // must run the locked path (which refreshes the cache).
-  bool TryDirectRead(const FdEntry& entry, uint64_t offset,
-                     std::span<char> out, uint64_t* n);
-  bool TryDirectWrite(const FdEntry& entry, uint64_t offset,
-                      std::span<const char> data, uint64_t* n);
+  bool TryDirectRead(Oid file, uint64_t offset, std::span<char> out,
+                     uint64_t* n);
+  bool TryDirectWrite(Oid file, uint64_t offset, std::span<const char> data,
+                      uint64_t* n);
   // Caller holds the file lock in at least `mode`. Snapshots the extent map
-  // (persistent mapping + this client's shadow state) and caches it under
-  // the current direct epoch.
+  // (persistent mapping + this client's shadow state) under the current
+  // direct epoch.
   void RefreshDirectMap(Oid file, LockMode mode);
-  // RefreshDirectMap only when the cached entry is missing, stale, or not
-  // writable when a writable one is needed.
+  // RefreshDirectMap only when the cached snapshot is missing, stale, or
+  // not writable when a writable one is needed.
   void MaybeRefreshDirect(Oid file, bool writable);
-  uint64_t FileSize(Oid file);
-  uint64_t FileSizeNoShadow(Oid file);  // callable under overlay_mu_
 
   Status UnlinkLocked(const Resolved& r);
 
@@ -234,14 +284,18 @@ class Pxfs {
   // Files the TFS has been told are open here (paper §6.1 open-file table).
   std::set<uint64_t> notified_open_;
 
-  std::mutex overlay_mu_;
+  // Everything PXFS keys by an oid (raw), under one lock and one lifecycle
+  // (Forget). Direct-path lookups take the lock shared.
+  mutable std::shared_mutex state_mu_;
+  std::unordered_map<uint64_t, FileShadow> shadows_;
+  std::unordered_map<uint64_t, std::shared_ptr<const DirectSnapshot>>
+      snapshots_;  // dropped on any structural change to the file
   std::unordered_map<uint64_t, DirOverlay> overlay_;
-  std::unordered_map<uint64_t, std::shared_ptr<FileShadow>> shadows_;
 
   mutable std::mutex cwd_mu_;
   Oid cwd_oid_;                       // null: cwd is the root
   std::vector<LockId> cwd_ancestors_; // lock chain root..cwd's parent
-  std::string cwd_path_ = "/";
+  std::string cwd_path_ = "/";        // canonical absolute path
 
   std::mutex cache_mu_;
   std::unordered_map<std::string, CacheEntry> name_cache_;

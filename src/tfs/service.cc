@@ -74,18 +74,6 @@ Status TrustedFsService::Bootstrap() {
   return OkStatus();
 }
 
-Result<Collection> TrustedFsService::OpenSystem(const char* key) const {
-  auto sys = Collection::Open(ctx_, volume_->root_oid());
-  if (!sys.ok()) {
-    return sys.status();
-  }
-  auto oid = sys->Lookup(key);
-  if (!oid.ok()) {
-    return oid.status();
-  }
-  return Collection::Open(ctx_, Oid(*oid));
-}
-
 // --- Lock / lease checks -----------------------------------------------
 
 Status TrustedFsService::HoldsWriteLock(uint64_t client_id,
@@ -668,38 +656,7 @@ Status TrustedFsService::Recover() {
       return true;
     });
     for (const auto& [key, table_oid] : tables) {
-      auto table = Collection::Open(ctx_, table_oid);
-      if (table.ok()) {
-        std::vector<Oid> pooled;
-        (void)table->Scan([&](std::string_view, uint64_t value) {
-          pooled.push_back(Oid(value));
-          return true;
-        });
-        for (Oid oid : pooled) {
-          switch (oid.type()) {
-            case ObjType::kMFile: {
-              auto f = MFile::Open(ctx_, oid);
-              if (f.ok() && f->link_count() == 0) {
-                (void)f->Destroy();
-              }
-              break;
-            }
-            case ObjType::kCollection: {
-              auto c = Collection::Open(ctx_, oid);
-              if (c.ok() && c->link_count() == 0) {
-                (void)c->Destroy();
-              }
-              break;
-            }
-            case ObjType::kExtent:
-              (void)ctx_.alloc->Free(oid.offset(), 0);
-              break;
-            default:
-              break;
-          }
-        }
-        (void)table->Destroy();
-      }
+      ReclaimPoolTable(table_oid, /*only_unlinked=*/true);
       (void)pools->Erase(key);
     }
   }
@@ -707,6 +664,42 @@ Status TrustedFsService::Recover() {
 }
 
 // --- Pools ---------------------------------------------------------------
+
+void TrustedFsService::ReclaimPoolTable(Oid table_oid, bool only_unlinked) {
+  auto table = Collection::Open(ctx_, table_oid);
+  if (!table.ok()) {
+    return;
+  }
+  std::vector<Oid> pooled;
+  (void)table->Scan([&](std::string_view, uint64_t value) {
+    pooled.push_back(Oid(value));
+    return true;
+  });
+  for (Oid oid : pooled) {
+    switch (oid.type()) {
+      case ObjType::kMFile: {
+        auto f = MFile::Open(ctx_, oid);
+        if (f.ok() && (!only_unlinked || f->link_count() == 0)) {
+          (void)f->Destroy();
+        }
+        break;
+      }
+      case ObjType::kCollection: {
+        auto c = Collection::Open(ctx_, oid);
+        if (c.ok() && (!only_unlinked || c->link_count() == 0)) {
+          (void)c->Destroy();
+        }
+        break;
+      }
+      case ObjType::kExtent:
+        (void)ctx_.alloc->Free(oid.offset(), 0);
+        break;
+      default:
+        break;
+    }
+  }
+  (void)table->Destroy();
+}
 
 Result<Oid> TrustedFsService::EnsurePoolTable(uint64_t client_id) {
   std::lock_guard lock(alloc_mu_);
@@ -923,38 +916,7 @@ Status TrustedFsService::ClientDisconnected(uint64_t client_id) {
   // Free still-pooled objects and drop the pool table (paper: special files
   // tracking pre-allocated objects prevent leaks).
   if (!table_oid.IsNull()) {
-    auto table = Collection::Open(ctx_, table_oid);
-    if (table.ok()) {
-      std::vector<Oid> pooled;
-      (void)table->Scan([&](std::string_view, uint64_t value) {
-        pooled.push_back(Oid(value));
-        return true;
-      });
-      for (Oid oid : pooled) {
-        switch (oid.type()) {
-          case ObjType::kMFile: {
-            auto f = MFile::Open(ctx_, oid);
-            if (f.ok()) {
-              (void)f->Destroy();
-            }
-            break;
-          }
-          case ObjType::kCollection: {
-            auto c = Collection::Open(ctx_, oid);
-            if (c.ok()) {
-              (void)c->Destroy();
-            }
-            break;
-          }
-          case ObjType::kExtent:
-            (void)ctx_.alloc->Free(oid.offset(), 0);
-            break;
-          default:
-            break;
-        }
-      }
-      (void)table->Destroy();
-    }
+    ReclaimPoolTable(table_oid, /*only_unlinked=*/false);
     std::lock_guard lock(alloc_mu_);
     auto pools = Collection::Open(ctx_, pools_oid_);
     if (pools.ok()) {

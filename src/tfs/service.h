@@ -131,13 +131,15 @@ class TrustedFsService {
   Result<Oid> EnsurePoolTable(uint64_t client_id);
   bool PoolContains(uint64_t client_id, Oid oid);
   Status PoolRemove(uint64_t client_id, Oid oid);
+  // Frees every object left in a pool table, then the table itself. With
+  // `only_unlinked` (recovery), mFiles and collections that a replayed
+  // create already linked are kept.
+  void ReclaimPoolTable(Oid table_oid, bool only_unlinked);
 
   // Orphan (unlinked-but-open) bookkeeping.
   Status OrphanAdd(Oid file);
   Status OrphanRemoveAndFree(Oid file);
   uint64_t OpenCount(Oid file) const;
-
-  Result<Collection> OpenSystem(const char* key) const;
 
   Volume* volume_;
   LockService* locks_;

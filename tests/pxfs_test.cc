@@ -354,5 +354,81 @@ TEST_F(PxfsTest, ChmodUpdatesAcl) {
   EXPECT_EQ(st->acl, MakeAcl(42, kAclRightRead));
 }
 
+
+TEST_F(PxfsTest, RecycledPooledOidStartsEmpty) {
+  // Small pools make the TFS hand a freed mFile's oid straight back out.
+  LibFs::Options small_pools;
+  small_pools.pool_refill = 4;
+  small_pools.pool_low_water = 1;
+  auto client = sys_->NewClient(small_pools);
+  ASSERT_TRUE(client.ok());
+  Pxfs fs((*client)->fs());
+
+  const std::string data(5000, 'z');
+  auto fd = fs.Open("/a", kOpenCreate | kOpenWrite);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(
+      fs.Write(*fd, std::span<const char>(data.data(), data.size())).ok());
+  auto old = fs.Fstat(*fd);
+  ASSERT_TRUE(old.ok());
+  ASSERT_TRUE(fs.Close(*fd).ok());
+  ASSERT_TRUE(fs.Unlink("/a").ok());
+  ASSERT_TRUE(fs.SyncAll().ok());
+
+  bool recycled = false;
+  for (int i = 0; i < 64 && !recycled; ++i) {
+    const std::string path = "/n" + std::to_string(i);
+    auto nfd = fs.Open(path, kOpenCreate | kOpenWrite | kOpenRead);
+    ASSERT_TRUE(nfd.ok());
+    auto st = fs.Fstat(*nfd);
+    ASSERT_TRUE(st.ok());
+    if (st->oid == old->oid) {
+      recycled = true;
+      EXPECT_EQ(st->size, 0u);
+      std::string buf(8192, '\0');
+      auto n = fs.Pread(*nfd, 0, std::span<char>(buf.data(), buf.size()));
+      ASSERT_TRUE(n.ok());
+      EXPECT_EQ(*n, 0u);
+    }
+    ASSERT_TRUE(fs.Close(*nfd).ok());
+    if (recycled) {
+      auto afd = fs.Open(path, kOpenWrite | kOpenAppend);
+      ASSERT_TRUE(afd.ok());
+      const std::string tail(100, 't');
+      ASSERT_TRUE(
+          fs.Write(*afd, std::span<const char>(tail.data(), tail.size())).ok());
+      auto after = fs.Fstat(*afd);
+      ASSERT_TRUE(after.ok());
+      EXPECT_EQ(after->size, 100u);
+      ASSERT_TRUE(fs.Close(*afd).ok());
+    }
+  }
+  EXPECT_TRUE(recycled) << "the freed oid never came back from the pool";
+}
+
+TEST_F(PxfsTest, UnlinkAndRenameDropCanonicalNameCacheEntries) {
+  ASSERT_TRUE(pxfs_->Mkdir("/d").ok());
+
+  // A non-canonical absolute path names the cached "/d/f1".
+  WriteFile("/d/f1", "x");
+  ASSERT_TRUE(pxfs_->Stat("/d/f1").ok());
+  ASSERT_TRUE(pxfs_->Unlink("/d//f1").ok());
+  EXPECT_EQ(pxfs_->Stat("/d/f1").code(), ErrorCode::kNotFound);
+
+  // So does a path relative to the cwd.
+  WriteFile("/d/f2", "x");
+  ASSERT_TRUE(pxfs_->Stat("/d/f2").ok());
+  ASSERT_TRUE(pxfs_->SetCwd("/d").ok());
+  ASSERT_TRUE(pxfs_->Unlink("f2").ok());
+  EXPECT_EQ(pxfs_->Stat("/d/f2").code(), ErrorCode::kNotFound);
+
+  // Rename's source entry.
+  WriteFile("/d/g", "x");
+  ASSERT_TRUE(pxfs_->Stat("/d/g").ok());
+  ASSERT_TRUE(pxfs_->Rename("/d//g", "/d/h").ok());
+  EXPECT_EQ(pxfs_->Stat("/d/g").code(), ErrorCode::kNotFound);
+  EXPECT_TRUE(pxfs_->Stat("/d/h").ok());
+}
+
 }  // namespace
 }  // namespace aerie

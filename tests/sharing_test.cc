@@ -192,5 +192,36 @@ TEST_F(SharingTest, FailedClientLocksExpireAndWorkContinues) {
   EXPECT_EQ(pxfs2_->Stat("/abandoned").code(), ErrorCode::kNotFound);
 }
 
+
+TEST_F(SharingTest, AlternatingAppendsFromTwoClientsLoseNothing) {
+  // Each O_APPEND write must land after the other client's last one: the
+  // end of file is read only once this client holds the file lock.
+  ASSERT_TRUE(pxfs1_->Create("/log").ok());
+  auto fd1 = pxfs1_->Open("/log", kOpenWrite | kOpenAppend);
+  auto fd2 = pxfs2_->Open("/log", kOpenWrite | kOpenAppend);
+  ASSERT_TRUE(fd1.ok());
+  ASSERT_TRUE(fd2.ok());
+  const std::string a(100, 'a');
+  const std::string b(100, 'b');
+  std::string expected;
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(
+        pxfs1_->Write(*fd1, std::span<const char>(a.data(), a.size())).ok());
+    ASSERT_TRUE(
+        pxfs2_->Write(*fd2, std::span<const char>(b.data(), b.size())).ok());
+    expected += a + b;
+  }
+  ASSERT_TRUE(pxfs1_->Close(*fd1).ok());
+  ASSERT_TRUE(pxfs2_->Close(*fd2).ok());
+  ASSERT_TRUE(pxfs1_->SyncAll().ok());
+  ASSERT_TRUE(pxfs2_->SyncAll().ok());
+
+  auto st = pxfs1_->Stat("/log");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->size, 800u);
+  EXPECT_TRUE(ReadVia(pxfs2_.get(), "/log") == expected)
+      << "appends overlapped or landed out of order";
+}
+
 }  // namespace
 }  // namespace aerie
