@@ -18,14 +18,18 @@
 #ifndef AERIE_BENCH_BENCH_UTIL_H_
 #define AERIE_BENCH_BENCH_UTIL_H_
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "src/common/histogram.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/obs.h"
 #include "src/obs/profiler.h"
+#include "src/scm/pmem.h"
 #include "src/workload/filebench.h"
 #include "src/workload/sut.h"
 
@@ -46,6 +50,21 @@ inline int MaxThreads() {
 // offset), so one AERIE_BENCH_SEED value pins the whole sweep.
 inline uint64_t Seed() {
   return static_cast<uint64_t>(EnvDouble("AERIE_BENCH_SEED", 42));
+}
+
+// CPUs this process may run on (what `nproc` prints).
+inline int HostCpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return CPU_COUNT(&set);
+  }
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+// Host facts for bench banners, e.g. "4-CPU host, clwb write-back".
+inline std::string HostBanner() {
+  return std::to_string(HostCpus()) + "-CPU host, " +
+         ScmRegion::flush_instruction() + " write-back";
 }
 
 inline SystemUnderTest::Options DefaultSutOptions() {
@@ -90,6 +109,7 @@ inline obs::BenchReport MakeReport(const char* bench) {
   report.SetConfig("seconds", Seconds());
   report.SetConfig("threads", static_cast<double>(MaxThreads()));
   report.SetConfig("seed", static_cast<double>(Seed()));
+  report.SetConfig("flush_instruction", ScmRegion::flush_instruction());
   return report;
 }
 

@@ -82,9 +82,8 @@ int main() {
   const int max_threads = MaxThreads();
 
   std::printf("# Figure 5: throughput (workload iterations/s) vs threads\n");
-  std::printf("# scale=%.3f, %gs per point, single-core host (see "
-              "EXPERIMENTS.md)\n\n",
-              scale, seconds);
+  std::printf("# scale=%.3f, %gs per point, %s (see EXPERIMENTS.md)\n\n",
+              scale, seconds, HostBanner().c_str());
 
   obs::BenchReport report = MakeReport("fig5_thread_scaling");
 

@@ -47,6 +47,24 @@ void BM_PersistU64(benchmark::State& state) {
 }
 BENCHMARK(BM_PersistU64);
 
+// WlFlush + Fence of state.range(0) dirty cache lines: /1 is one line, /64
+// a 4 KB page. The cost follows ScmRegion::flush_instruction().
+void BM_WlFlushFence(benchmark::State& state) {
+  auto* fx = Fixture();
+  char* dst = fx->region->PtrAt(fx->region->size() - 3 * kScmPageSize);
+  const size_t len = static_cast<size_t>(state.range(0)) * kCacheLineSize;
+  char v = 0;
+  for (auto _ : state) {
+    for (size_t off = 0; off < len; off += kCacheLineSize) {
+      dst[off] = ++v;  // dirty every line so each write-back has work
+    }
+    fx->region->WlFlush(dst, len);
+    fx->region->Fence();
+  }
+  state.SetLabel(ScmRegion::flush_instruction());
+}
+BENCHMARK(BM_WlFlushFence)->Arg(1)->Arg(64);
+
 void BM_StreamWriteBFlush4K(benchmark::State& state) {
   auto* fx = Fixture();
   char* dst = fx->region->PtrAt(fx->region->size() - 2 * kScmPageSize);
@@ -89,10 +107,11 @@ void BM_MFileRead4K(benchmark::State& state) {
   auto* fx = Fixture();
   OsdContext ctx = fx->volume->context();
   auto file = MFile::Create(ctx, 0);
+  std::vector<uint64_t> extents;
   for (uint64_t p = 0; p < 64; ++p) {
-    auto extent = ctx.alloc->Alloc(0);
-    (void)file->AttachExtent(p, *extent);
+    extents.push_back(*ctx.alloc->Alloc(0));
   }
+  (void)file->AttachExtents(0, extents);
   (void)file->SetSize(64 * kScmPageSize);
   std::string buf(4096, '\0');
   uint64_t p = 0;

@@ -102,10 +102,20 @@ uint64_t LibFs::pending_ops() const {
   return batch_.size();
 }
 
+namespace {
+
+// Rough wire size: fixed fields + names + an attach run's extents.
+uint64_t WireBytes(const MetaOp& op) {
+  return 96 + op.name.size() + op.name2.size() +
+         op.extents.size() * sizeof(uint64_t);
+}
+
+}  // namespace
+
 Status LibFs::LogOps(std::vector<MetaOp> ops) {
   std::unique_lock lock(batch_mu_);
   for (MetaOp& op : ops) {
-    batch_bytes_ += 96 + op.name.size() + op.name2.size();
+    batch_bytes_ += WireBytes(op);
     batch_.push_back(std::move(op));
   }
   ops_logged_.Add(ops.size());
@@ -128,8 +138,7 @@ Status LibFs::LogOps(std::vector<MetaOp> ops) {
 
 Status LibFs::LogOp(MetaOp op) {
   std::unique_lock lock(batch_mu_);
-  // Rough wire size: fixed fields + names.
-  batch_bytes_ += 96 + op.name.size() + op.name2.size();
+  batch_bytes_ += WireBytes(op);
   batch_.push_back(std::move(op));
   ops_logged_.Add(1);
   pending_ops_gauge_.Set(static_cast<int64_t>(batch_.size()));

@@ -1,5 +1,7 @@
 #include "src/osd/collection.h"
 
+#include <atomic>
+#include <cstddef>
 #include <cstring>
 #include <set>
 
@@ -17,11 +19,17 @@ struct HeaderRep {
   uint64_t magic;
   uint64_t table_ptr;   // region offset of TableRep; atomic swing point
   uint64_t acl;
-  uint64_t live_count;  // persistent hints (heuristics only)
+  // Persistent hints: every mutation keeps them in step, but a crash
+  // between an entry's publish and the count update can leave them off
+  // until the next rehash recounts. Both sit in the header's first cache
+  // line, so one flush + fence persists the pair.
+  uint64_t live_count;
   uint64_t tomb_count;
   uint64_t parent_oid;  // containing directory (rename cycle validation)
   uint64_t link_count;  // collection-membership count (paper §5.3.4)
 };
+static_assert(offsetof(HeaderRep, tomb_count) + sizeof(uint64_t) <=
+              kCacheLineSize);
 
 // Bucket table block: nbuckets + extent pointer array.
 struct TableRep {
@@ -222,19 +230,21 @@ uint64_t Collection::nbuckets() const {
   return TableAt(ctx_, HeaderAt(ctx_, oid_))->nbuckets;
 }
 
-void Collection::BumpCounts(int64_t live_delta, int64_t tomb_delta) {
+void Collection::StoreCounts(uint64_t live, uint64_t tomb) {
   AERIE_SCM_LAYER("osd");
   HeaderRep* hdr = HeaderAt(ctx_, oid_);
-  if (live_delta != 0) {
-    ctx_.region->PersistU64(
-        &hdr->live_count,
-        hdr->live_count + static_cast<uint64_t>(live_delta));
-  }
-  if (tomb_delta != 0) {
-    ctx_.region->PersistU64(
-        &hdr->tomb_count,
-        hdr->tomb_count + static_cast<uint64_t>(tomb_delta));
-  }
+  reinterpret_cast<std::atomic<uint64_t>*>(&hdr->live_count)
+      ->store(live, std::memory_order_release);
+  reinterpret_cast<std::atomic<uint64_t>*>(&hdr->tomb_count)
+      ->store(tomb, std::memory_order_release);
+  ctx_.region->WlFlush(&hdr->live_count, 2 * sizeof(uint64_t));
+  ctx_.region->Fence();
+}
+
+void Collection::BumpCounts(int64_t live_delta, int64_t tomb_delta) {
+  const HeaderRep* hdr = HeaderAt(ctx_, oid_);
+  StoreCounts(hdr->live_count + static_cast<uint64_t>(live_delta),
+              hdr->tomb_count + static_cast<uint64_t>(tomb_delta));
 }
 
 Result<Collection::EntryRef> Collection::FindLive(std::string_view key) const {
@@ -364,26 +374,43 @@ Status Collection::Insert(std::string_view key, uint64_t value) {
 }
 
 Status Collection::Erase(std::string_view key) {
+  const std::string_view keys[] = {key};
+  AERIE_ASSIGN_OR_RETURN(uint64_t erased, EraseMany(keys));
+  if (erased == 0) {
+    return Status(ErrorCode::kNotFound, "key not found");
+  }
+  return OkStatus();
+}
+
+Result<uint64_t> Collection::EraseMany(std::span<const std::string_view> keys) {
   AERIE_SCM_LAYER("osd");
   if (!ctx_.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied,
                   "collection mutation requires the allocator");
   }
-  auto ref = FindLive(key);
-  if (!ref.ok()) {
-    return ref.status();
+  // Tombstone each entry with one atomic 64-bit store (paper: "delete items
+  // by marking them using a tombstone key"), flush them all, fence once.
+  uint64_t erased = 0;
+  for (std::string_view key : keys) {
+    auto ref = FindLive(key);
+    if (ref.code() == ErrorCode::kNotFound) {
+      continue;
+    }
+    AERIE_RETURN_IF_ERROR(ref.status());
+    auto* bucket = reinterpret_cast<BucketRep*>(
+        ctx_.region->PtrAt(ref->extent_offset) +
+        ref->bucket_in_extent * kBucketSize);
+    auto* word0 = reinterpret_cast<uint64_t*>(bucket->data + ref->entry_offset);
+    reinterpret_cast<std::atomic<uint64_t>*>(word0)->store(
+        *word0 | kTombstoneFlag, std::memory_order_release);
+    ctx_.region->WlFlush(word0, sizeof(uint64_t));
+    erased++;
   }
-  auto* bucket = reinterpret_cast<BucketRep*>(
-      ctx_.region->PtrAt(ref->extent_offset) +
-      ref->bucket_in_extent * kBucketSize);
-  uint64_t word0;
-  std::memcpy(&word0, bucket->data + ref->entry_offset, 8);
-  // Tombstone with one atomic 64-bit store (paper: "delete items by marking
-  // them using a tombstone key").
-  ctx_.region->PersistU64(
-      reinterpret_cast<uint64_t*>(bucket->data + ref->entry_offset),
-      word0 | kTombstoneFlag);
-  BumpCounts(-1, +1);
+  if (erased == 0) {
+    return erased;
+  }
+  ctx_.region->Fence();
+  BumpCounts(-static_cast<int64_t>(erased), static_cast<int64_t>(erased));
 
   HeaderRep* hdr = HeaderAt(ctx_, oid_);
   const TableRep* table = TableAt(ctx_, hdr);
@@ -394,7 +421,7 @@ Status Collection::Erase(std::string_view key) {
     // Compact: rehash live pairs into a fresh table of the same size.
     AERIE_RETURN_IF_ERROR(Rehash(table->nbuckets));
   }
-  return OkStatus();
+  return erased;
 }
 
 Status Collection::InsertManyUnchecked(
@@ -459,7 +486,7 @@ Status Collection::InsertManyUnchecked(
     ctx_.region->WlFlush(BucketAt(ctx_, table, index), kBucketSize);
   }
   ctx_.region->Fence();
-  ctx_.region->PersistU64(&hdr->live_count, hdr->live_count + since_rehash);
+  BumpCounts(static_cast<int64_t>(since_rehash), 0);
   return OkStatus();
 }
 
@@ -543,8 +570,7 @@ Status Collection::Rehash(uint64_t new_nbuckets) {
   HeaderRep* hdr = HeaderAt(ctx_, oid_);
   const uint64_t old_table_off = hdr->table_ptr;
   ctx_.region->PersistU64(&hdr->table_ptr, *new_table_off);
-  ctx_.region->PersistU64(&hdr->live_count, live);
-  ctx_.region->PersistU64(&hdr->tomb_count, 0);
+  StoreCounts(live, 0);
 
   FreeTable(ctx_, old_table_off);
   return OkStatus();

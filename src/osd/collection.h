@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,6 +63,9 @@ class Collection {
   // --- Mutations (TFS only; caller holds the collection's write lock) ---
   Status Insert(std::string_view key, uint64_t value);
   Status Erase(std::string_view key);
+  // Erases every present key (absent ones are skipped): all tombstones are
+  // flushed, then one fence and one counts update. Returns how many erased.
+  Result<uint64_t> EraseMany(std::span<const std::string_view> keys);
   // Insert-or-overwrite.
   Status Put(std::string_view key, uint64_t value);
 
@@ -118,6 +122,8 @@ class Collection {
                           bool* reused_tombstone);
   // Rehashes live pairs into a table of `new_nbuckets`, atomically swings.
   Status Rehash(uint64_t new_nbuckets);
+  // Persists live_count and tomb_count with one flush + fence.
+  void StoreCounts(uint64_t live, uint64_t tomb);
   void BumpCounts(int64_t live_delta, int64_t tomb_delta);
 
   OsdContext ctx_;

@@ -123,13 +123,17 @@ Result<MFile> MFile::Open(const OsdContext& ctx, Oid oid) {
   return MFile(ctx, oid);
 }
 
-uint64_t MFile::size() const { return HeaderAt(ctx_, oid_)->size; }
+// Header fields the TFS persists while clients read them: acquire loads.
+uint64_t MFile::size() const {
+  return ScmRegion::LoadU64(&HeaderAt(ctx_, oid_)->size);
+}
 bool MFile::single_extent() const {
   return (HeaderAt(ctx_, oid_)->flags & kFlagSingleExtent) != 0;
 }
 uint64_t MFile::capacity() const { return HeaderAt(ctx_, oid_)->capacity; }
 uint32_t MFile::acl() const {
-  return static_cast<uint32_t>(HeaderAt(ctx_, oid_)->acl);
+  return static_cast<uint32_t>(
+      ScmRegion::LoadU64(&HeaderAt(ctx_, oid_)->acl));
 }
 void MFile::SetAcl(uint32_t new_acl) {
   AERIE_SCM_LAYER("osd");
@@ -137,7 +141,7 @@ void MFile::SetAcl(uint32_t new_acl) {
 }
 
 uint64_t MFile::link_count() const {
-  return HeaderAt(ctx_, oid_)->link_count;
+  return ScmRegion::LoadU64(&HeaderAt(ctx_, oid_)->link_count);
 }
 void MFile::SetLinkCount(uint64_t n) {
   AERIE_SCM_LAYER("osd");
@@ -152,7 +156,7 @@ Result<uint64_t> MFile::ExtentForPage(uint64_t page_index) const {
     }
     return RootOffset(hdr->root) + page_index * kScmPageSize;
   }
-  const uint64_t packed = hdr->root;
+  const uint64_t packed = ScmRegion::LoadU64(&hdr->root);
   if (RootOffset(packed) == 0) {
     return Status(ErrorCode::kNotFound, "empty file");
   }
@@ -165,7 +169,7 @@ Result<uint64_t> MFile::ExtentForPage(uint64_t page_index) const {
     const uint64_t stride = Coverage(level - 1);
     const uint64_t slot = page_index / stride;
     page_index %= stride;
-    const uint64_t next = BlockAt(ctx_, block)[slot];
+    const uint64_t next = ScmRegion::LoadU64(BlockAt(ctx_, block) + slot);
     if (next == 0) {
       return Status(ErrorCode::kNotFound, "hole");
     }
@@ -176,7 +180,7 @@ Result<uint64_t> MFile::ExtentForPage(uint64_t page_index) const {
 
 Result<uint64_t> MFile::Read(uint64_t offset, std::span<char> out) const {
   const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
-  const uint64_t file_size = hdr->size;
+  const uint64_t file_size = ScmRegion::LoadU64(&hdr->size);
   if (offset >= file_size) {
     return 0;
   }
@@ -208,7 +212,7 @@ Result<MFile::DirectExtentMap> MFile::SnapshotExtents(
     uint64_t max_pages) const {
   const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
   DirectExtentMap map;
-  map.size = hdr->size;
+  map.size = ScmRegion::LoadU64(&hdr->size);
   const uint64_t pages = (map.size + kScmPageSize - 1) / kScmPageSize;
   if (pages > max_pages) {
     return Status(ErrorCode::kNotSupported, "file too large for direct map");
@@ -348,8 +352,36 @@ Status MFile::GrowHeightTo(uint32_t target) {
   return OkStatus();
 }
 
-Status MFile::AttachExtent(uint64_t page_index, uint64_t extent_offset) {
+Result<uint64_t*> MFile::LeafSlot(uint64_t page_index, bool create) {
+  const uint64_t packed = HeaderAt(ctx_, oid_)->root;
+  const uint32_t height = RootHeight(packed);
+  if (RootOffset(packed) == 0 || page_index >= Coverage(height)) {
+    AERIE_CHECK(!create);
+    return static_cast<uint64_t*>(nullptr);
+  }
+  uint64_t block = RootOffset(packed);
+  for (uint32_t level = height; level > 1; --level) {
+    const uint64_t stride = Coverage(level - 1);
+    uint64_t* slot = BlockAt(ctx_, block) + page_index / stride;
+    page_index %= stride;
+    if (*slot == 0) {
+      if (!create) {
+        return static_cast<uint64_t*>(nullptr);
+      }
+      AERIE_ASSIGN_OR_RETURN(uint64_t child, AllocZeroedBlock(ctx_));
+      ctx_.region->PersistU64(slot, child);
+    }
+    block = *slot;
+  }
+  return BlockAt(ctx_, block) + page_index;
+}
+
+Status MFile::AttachExtents(uint64_t first_page,
+                            std::span<const uint64_t> extents) {
   AERIE_SCM_LAYER("osd");
+  // Suppressing this flush leaves the run's slots unflushed: once the log
+  // is checkpointed a crash loses the mapping of acknowledged pages.
+  static const int kFlushSite = RegisterPersistSite("mfile.attach.flush");
   if (!ctx_.can_allocate()) {
     return Status(ErrorCode::kPermissionDenied,
                   "structural mFile mutation requires the allocator");
@@ -359,46 +391,50 @@ Status MFile::AttachExtent(uint64_t page_index, uint64_t extent_offset) {
     return Status(ErrorCode::kNotSupported,
                   "single-extent mFiles have fixed storage");
   }
-  if (extent_offset == 0 || extent_offset % kScmPageSize != 0 ||
-      extent_offset >= ctx_.region->size()) {
-    return Status(ErrorCode::kInvalidArgument, "bad extent offset");
+  const uint64_t n = extents.size();
+  if (n == 0 || first_page >= kMaxPages || n > kMaxPages - first_page) {
+    return Status(ErrorCode::kInvalidArgument, "bad page run");
+  }
+  for (uint64_t extent : extents) {
+    if (extent == 0 || extent % kScmPageSize != 0 ||
+        extent >= ctx_.region->size()) {
+      return Status(ErrorCode::kInvalidArgument, "bad extent offset");
+    }
+  }
+  // Pages of the run that share a leaf block: up to the leaf's end.
+  auto leaf_run = [&](uint64_t i) {
+    return std::min(n - i, kPointersPerBlock -
+                               (first_page + i) % kPointersPerBlock);
+  };
+  for (uint64_t i = 0; i < n; i += leaf_run(i)) {
+    AERIE_ASSIGN_OR_RETURN(uint64_t* slots,
+                           LeafSlot(first_page + i, /*create=*/false));
+    for (uint64_t j = 0; slots != nullptr && j < leaf_run(i); ++j) {
+      if (slots[j] != 0 && slots[j] != extents[i + j]) {
+        return Status(ErrorCode::kAlreadyExists, "page already mapped");
+      }
+    }
   }
 
   if (RootOffset(hdr->root) == 0) {
-    auto block = AllocZeroedBlock(ctx_);
-    if (!block.ok()) {
-      return block.status();
+    AERIE_ASSIGN_OR_RETURN(uint64_t block, AllocZeroedBlock(ctx_));
+    ctx_.region->PersistU64(&hdr->root, PackRoot(block, 1));
+  }
+  const uint64_t last_page = first_page + n - 1;
+  while (last_page >= Coverage(RootHeight(hdr->root))) {
+    AERIE_RETURN_IF_ERROR(GrowHeightTo(RootHeight(hdr->root) + 1));
+  }
+  for (uint64_t i = 0; i < n; i += leaf_run(i)) {
+    AERIE_ASSIGN_OR_RETURN(uint64_t* slots,
+                           LeafSlot(first_page + i, /*create=*/true));
+    const uint64_t run = leaf_run(i);
+    for (uint64_t j = 0; j < run; ++j) {
+      reinterpret_cast<std::atomic<uint64_t>*>(&slots[j])->store(
+          extents[i + j], std::memory_order_release);
     }
-    ctx_.region->PersistU64(&hdr->root, PackRoot(*block, 1));
+    ctx_.region->WlFlush(slots, run * sizeof(uint64_t), kFlushSite);
   }
-  // Grow until the page is within coverage.
-  uint32_t height = RootHeight(hdr->root);
-  while (page_index >= Coverage(height)) {
-    AERIE_RETURN_IF_ERROR(GrowHeightTo(height + 1));
-    height = RootHeight(hdr->root);
-  }
-
-  uint64_t block = RootOffset(hdr->root);
-  uint64_t remaining = page_index;
-  for (uint32_t level = height; level > 1; --level) {
-    const uint64_t stride = Coverage(level - 1);
-    const uint64_t slot = remaining / stride;
-    remaining %= stride;
-    uint64_t* slots = BlockAt(ctx_, block);
-    if (slots[slot] == 0) {
-      auto child = AllocZeroedBlock(ctx_);
-      if (!child.ok()) {
-        return child.status();
-      }
-      ctx_.region->PersistU64(&slots[slot], *child);
-    }
-    block = slots[slot];
-  }
-  uint64_t* leaf = BlockAt(ctx_, block);
-  if (leaf[remaining] != 0) {
-    return Status(ErrorCode::kAlreadyExists, "page already mapped");
-  }
-  ctx_.region->PersistU64(&leaf[remaining], extent_offset);
+  ctx_.region->Fence();
   return OkStatus();
 }
 

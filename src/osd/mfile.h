@@ -32,6 +32,9 @@ namespace aerie {
 class MFile {
  public:
   static constexpr uint64_t kPointersPerBlock = kScmPageSize / 8;  // 512
+  // Largest file the TFS lets a client build (page runs stay below it).
+  static constexpr uint64_t kMaxFileBytes = 1ull << 46;
+  static constexpr uint64_t kMaxPages = kMaxFileBytes / kScmPageSize;
 
   // Creates a paged (radix-tree) mFile.
   static Result<MFile> Create(const OsdContext& ctx, uint32_t acl);
@@ -98,9 +101,14 @@ class MFile {
   Status WriteInPlace(uint64_t offset, std::span<const char> data);
 
   // --- Structural mutations (TFS after validation) ---
-  // Attaches a data extent (4KB, pre-allocated) at page_index. Grows the
-  // tree height as needed. Fails kAlreadyExists if the page is mapped.
-  Status AttachExtent(uint64_t page_index, uint64_t extent_offset);
+  // Attaches a run of data extents (4KB, pre-allocated): extents[i] backs
+  // page first_page + i. Grows the tree height as needed, walks to each
+  // leaf block once, stores its slots, flushes them as one range (the
+  // "mfile.attach.flush" persist site) and fences once at the end. All or
+  // nothing: fails kAlreadyExists, storing nothing, if a page maps a
+  // different extent; a page already mapping its own extent (a replayed
+  // attach) is kept.
+  Status AttachExtents(uint64_t first_page, std::span<const uint64_t> extents);
   // Publishes a new file size (atomic).
   Status SetSize(uint64_t bytes);
   // Frees extents wholly beyond `bytes` and publishes the new size.
@@ -120,6 +128,10 @@ class MFile {
   MFile(const OsdContext& ctx, Oid oid) : ctx_(ctx), oid_(oid) {}
 
   Status GrowHeightTo(uint32_t height);
+  // The leaf slot mapping `page_index`. With `create`, missing indirect
+  // blocks are allocated and linked (the tree must already cover the
+  // page); without it, null when the path does not exist.
+  Result<uint64_t*> LeafSlot(uint64_t page_index, bool create);
 
   OsdContext ctx_;
   Oid oid_;

@@ -602,8 +602,9 @@ Result<uint64_t> Pxfs::WriteAt(Oid file, uint64_t offset,
   }
   const uint64_t authority = fs_->clerk()->GlobalAuthorityOf(file.lock_id());
 
-  // One critical section for the whole call; attach ops are logged in bulk
-  // afterwards (a 128KB write is 32 pages — per-page locking and logging
+  // One critical section for the whole call; ops are logged in bulk
+  // afterwards, one attach per maximal run of hole pages (a 128KB append
+  // is one op for its 32 pages — per-page locking, logging and committing
   // would dominate).
   std::vector<MetaOp> attach_ops;
   {
@@ -622,8 +623,9 @@ Result<uint64_t> Pxfs::WriteAt(Oid file, uint64_t offset,
         ctx_.region->StreamWrite(ctx_.region->PtrAt(extent) + in_page,
                                  data.data() + done, chunk);
       } else {
-        // Hole: take a pre-allocated extent, fill it, and log the attach
-        // (paper §5.3.5: the server only verifies and attaches).
+        // Hole: take a pre-allocated extent, fill it, and add it to the
+        // run's attach (paper §5.3.5: the server only verifies and
+        // attaches).
         auto pooled = fs_->TakePooled(ObjType::kExtent);
         if (!pooled.ok()) {
           return pooled.status();
@@ -637,13 +639,16 @@ Result<uint64_t> Pxfs::WriteAt(Oid file, uint64_t offset,
         // as overwrites).
         ctx_.region->StreamWrite(dst + in_page, data.data() + done, chunk);
 
-        MetaOp op;
-        op.type = MetaOpType::kAttachExtent;
-        op.authority = authority;
-        op.obj = file;
-        op.a = page;
-        op.b = extent;
-        attach_ops.push_back(std::move(op));
+        if (attach_ops.empty() ||
+            attach_ops.back().a + attach_ops.back().extents.size() != page) {
+          MetaOp op;
+          op.type = MetaOpType::kAttachExtent;
+          op.authority = authority;
+          op.obj = file;
+          op.a = page;
+          attach_ops.push_back(std::move(op));
+        }
+        attach_ops.back().extents.push_back(extent);
         shadow.extents[page] = extent;
       }
       done += chunk;
@@ -790,6 +795,7 @@ Status Pxfs::TruncateHeld(Oid file, uint64_t size) {
       const uint64_t in_page = size % kScmPageSize;
       std::memset(data + in_page, 0, kScmPageSize - in_page);
       ctx_.region->WlFlush(data + in_page, kScmPageSize - in_page);
+      ctx_.region->Fence();  // durable before a later extension ships
     }
   }
   return OkStatus();

@@ -1,5 +1,8 @@
 #include "src/scm/pmem.h"
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -34,6 +37,55 @@ ScmLayerStats& CurrentLayerStats() {
   ScmLayerStats* cur = TlsScmLayer();
   return cur != nullptr ? *cur : UnattributedLayer();
 }
+
+// The cache-line write-back instruction, best first. clwb keeps the line
+// cached; clflushopt evicts it; both are weakly ordered (Fence orders them).
+// clflush, the x86-64 baseline, serializes against other flushes.
+enum class FlushInsn { kClwb, kClflushopt, kClflush, kNone };
+
+FlushInsn DetectFlushInsn() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0) {
+    if ((ebx & bit_CLWB) != 0) {
+      return FlushInsn::kClwb;
+    }
+    if ((ebx & bit_CLFLUSHOPT) != 0) {
+      return FlushInsn::kClflushopt;
+    }
+  }
+  return FlushInsn::kClflush;
+#else
+  return FlushInsn::kNone;
+#endif
+}
+
+FlushInsn CpuFlushInsn() {
+  static const FlushInsn insn = DetectFlushInsn();
+  return insn;
+}
+
+#if defined(__x86_64__)
+__attribute__((target("clwb"))) void WriteBackClwb(uintptr_t p,
+                                                   uintptr_t end) {
+  for (; p < end; p += kCacheLineSize) {
+    __builtin_ia32_clwb(reinterpret_cast<void*>(p));
+  }
+}
+
+__attribute__((target("clflushopt"))) void WriteBackClflushopt(
+    uintptr_t p, uintptr_t end) {
+  for (; p < end; p += kCacheLineSize) {
+    __builtin_ia32_clflushopt(reinterpret_cast<void*>(p));
+  }
+}
+
+void WriteBackClflush(uintptr_t p, uintptr_t end) {
+  for (; p < end; p += kCacheLineSize) {
+    __builtin_ia32_clflush(reinterpret_cast<const void*>(p));
+  }
+}
+#endif
 
 }  // namespace
 
@@ -122,14 +174,36 @@ void ScmRegion::ChargeLines(uint64_t lines) {
   }
 }
 
+const char* ScmRegion::flush_instruction() {
+  switch (CpuFlushInsn()) {
+    case FlushInsn::kClwb:
+      return "clwb";
+    case FlushInsn::kClflushopt:
+      return "clflushopt";
+    case FlushInsn::kClflush:
+      return "clflush";
+    case FlushInsn::kNone:
+      break;
+  }
+  return "none";
+}
+
 void ScmRegion::WlFlush(const void* addr, size_t len, int site) {
   AERIE_SPAN("scm", "wl_flush");
   const uint64_t lines = LinesCovering(addr, len);
 #if defined(__x86_64__)
-  auto p = reinterpret_cast<uintptr_t>(addr) & ~(kCacheLineSize - 1);
+  const auto p = reinterpret_cast<uintptr_t>(addr) & ~(kCacheLineSize - 1);
   const auto end = reinterpret_cast<uintptr_t>(addr) + len;
-  for (; p < end; p += kCacheLineSize) {
-    __builtin_ia32_clflush(reinterpret_cast<const void*>(p));
+  switch (CpuFlushInsn()) {
+    case FlushInsn::kClwb:
+      WriteBackClwb(p, end);
+      break;
+    case FlushInsn::kClflushopt:
+      WriteBackClflushopt(p, end);
+      break;
+    default:
+      WriteBackClflush(p, end);
+      break;
   }
 #else
   std::atomic_thread_fence(std::memory_order_seq_cst);

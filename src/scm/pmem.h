@@ -1,16 +1,21 @@
 // Storage-class-memory emulation (paper §2, §5.1, §7.1, §7.4).
 //
 // The paper emulates SCM with DRAM and models slow SCM by injecting
-// software-created delays at the points where software persists data (clflush
-// / write-combining flush). ScmRegion reproduces that mechanism:
+// software-created delays at the points where software persists data (cache
+// line write-back / write-combining flush). ScmRegion reproduces that
+// mechanism:
 //
 //  * the region is an mmap'ed range of DRAM (anonymous, or file-backed so a
 //    "machine crash + reboot" can be simulated by reopening the file);
 //  * persistence primitives mirror Mnemosyne's (paper §5.1):
-//      - WlFlush  : write + flush a cache line     (x86 clflush)
+//      - WlFlush  : write a cache line back to SCM  (x86 clwb; clflushopt,
+//                   then clflush, when CPUID lacks it — chosen once)
 //      - BFlush   : drain write-combining buffers   (x86 mfence after NT store)
 //      - Fence    : order writes to SCM             (x86 mfence)
 //      - StreamWrite : non-temporal streaming copy into the log
+//    clwb and clflushopt are weakly ordered: a WlFlush'ed line is durable
+//    only once a later Fence (or BFlush) on the same thread retires, so
+//    every protocol step that depends on a flush fences before it;
 //  * a latency model charges a configurable delay per persisted cache line,
 //    which is how Figure 6's sensitivity study is produced.
 //
@@ -42,7 +47,8 @@ inline constexpr int kNoPersistSite = -1;
 // Latency injected at persistence points. All values in nanoseconds; a value
 // of zero means "raw DRAM speed" (the paper's default configuration).
 struct ScmLatencyModel {
-  // Extra delay charged per cache line made persistent (clflush or WC drain).
+  // Extra delay charged per cache line made persistent (write-back or WC
+  // drain).
   std::atomic<uint64_t> write_ns_per_line{0};
 
   void set_write_ns(uint64_t ns) {
@@ -148,8 +154,13 @@ class ScmRegion {
   // simulator can suppress a registered site to prove the checker detects
   // the resulting ordering bug. Sites default to kNoPersistSite.
 
-  // Flushes the cache lines covering [addr, addr+len) to SCM.
+  // Writes the cache lines covering [addr, addr+len) back to SCM. Not
+  // ordered: the lines are durable only after the next Fence().
   void WlFlush(const void* addr, size_t len, int site = kNoPersistSite);
+
+  // The write-back instruction WlFlush issues on this CPU: "clwb",
+  // "clflushopt" or "clflush" (picked once from CPUID), or "none" off x86.
+  static const char* flush_instruction();
 
   // Orders subsequent SCM writes after preceding ones.
   void Fence(int site = kNoPersistSite);
@@ -161,8 +172,8 @@ class ScmRegion {
   // Drains write-combining buffers: everything streamed so far is persistent.
   void BFlush(int site = kNoPersistSite);
 
-  // Convenience: store + WlFlush of a 64-bit value (the atomic-commit write
-  // used by shadow updates).
+  // Convenience: store + WlFlush + Fence of a 64-bit value (the
+  // atomic-commit write used by shadow updates).
   void PersistU64(uint64_t* dst, uint64_t value,
                   int flush_site = kNoPersistSite,
                   int fence_site = kNoPersistSite) {
@@ -170,6 +181,13 @@ class ScmRegion {
         value, std::memory_order_release);
     WlFlush(dst, sizeof(uint64_t), flush_site);
     Fence(fence_site);
+  }
+
+  // Acquire load of a 64-bit SCM word that another thread may be
+  // publishing with PersistU64 (client reads of TFS-maintained fields).
+  static uint64_t LoadU64(const uint64_t* src) {
+    return reinterpret_cast<const std::atomic<uint64_t>*>(src)->load(
+        std::memory_order_acquire);
   }
 
   // Named interest point for the crash simulator (no-op otherwise): marks a

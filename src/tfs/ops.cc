@@ -11,7 +11,10 @@ void MetaOp::Encode(WireBuffer* out) const {
   out->AppendString(name2);
   out->AppendU64(obj.raw());
   out->AppendU64(a);
-  out->AppendU64(b);
+  out->AppendU32(static_cast<uint32_t>(extents.size()));
+  for (uint64_t extent : extents) {
+    out->AppendU64(extent);
+  }
   out->AppendU64(victim.raw());
   out->AppendU64(victim_links);
   out->AppendU8(victim_free);
@@ -29,15 +32,26 @@ Result<MetaOp> MetaOp::Decode(WireReader* in) {
   auto name2 = in->ReadString();
   auto obj = in->ReadU64();
   auto a = in->ReadU64();
-  auto b = in->ReadU64();
+  auto extent_count = in->ReadU32();
+  if (extent_count.ok()) {
+    // Untrusted count: never reserve more extents than the blob carries.
+    if (*extent_count > in->remaining() / sizeof(uint64_t)) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "extent count exceeds metadata op size");
+    }
+    op.extents.reserve(*extent_count);
+    for (uint32_t i = 0; i < *extent_count; ++i) {
+      op.extents.push_back(*in->ReadU64());
+    }
+  }
   auto victim = in->ReadU64();
   auto victim_links = in->ReadU64();
   auto victim_free = in->ReadU8();
   auto victim_is_dir = in->ReadU8();
   auto obj_links = in->ReadU64();
   if (!type.ok() || !authority.ok() || !dir.ok() || !dir2.ok() ||
-      !name.ok() || !name2.ok() || !obj.ok() || !a.ok() || !b.ok() ||
-      !victim.ok() || !victim_links.ok() || !victim_free.ok() ||
+      !name.ok() || !name2.ok() || !obj.ok() || !a.ok() ||
+      !extent_count.ok() || !victim.ok() || !victim_links.ok() || !victim_free.ok() ||
       !victim_is_dir.ok() || !obj_links.ok()) {
     return Status(ErrorCode::kInvalidArgument, "truncated metadata op");
   }
@@ -49,7 +63,6 @@ Result<MetaOp> MetaOp::Decode(WireReader* in) {
   op.name2 = std::string(*name2);
   op.obj = Oid(*obj);
   op.a = *a;
-  op.b = *b;
   op.victim = Oid(*victim);
   op.victim_links = *victim_links;
   op.victim_free = *victim_free;

@@ -29,7 +29,8 @@ enum class MetaOpType : uint32_t {
   kLink,          // dir, name, obj = existing object (hard link)
   kUnlink,        // dir, name             (file or empty directory)
   kRename,        // dir, name -> dir2, name2 (overwrites dst if present)
-  kAttachExtent,  // obj = file, a = page index, b = extent offset (pool)
+  kAttachExtent,  // obj = file, a = first page, extents = one pooled 4KB
+                  // extent per page of the run [a, a + extents.size())
   kSetSize,       // obj = file, a = size
   kTruncate,      // obj = file, a = size
   kSetAcl,        // obj, a = acl
@@ -46,8 +47,11 @@ struct MetaOp {
   std::string name;   // primary name / key
   std::string name2;  // rename destination name
   Oid obj;            // object being created / linked / modified
-  uint64_t a = 0;     // op-specific scalar (page index, size, acl)
-  uint64_t b = 0;     // op-specific scalar (extent offset)
+  uint64_t a = 0;     // op-specific scalar (first page, size, acl)
+  // kAttachExtent: region offsets of the run's extents, one per page. A
+  // single page is a run of one; the data is already in place, so one op
+  // splices the whole run in.
+  std::vector<uint64_t> extents;
 
   // --- Server-enriched fields (absolute values for idempotent replay) ---
   Oid victim;                // object displaced by unlink/rename/put
@@ -62,7 +66,8 @@ struct MetaOp {
 
 // Encodes a sequence of ops into one batch blob.
 std::string EncodeBatch(const std::vector<MetaOp>& ops);
-// Decodes a batch blob (validates structure; untrusted input).
+// Decodes a batch blob (validates structure, including that no op claims
+// more extents than the blob holds; untrusted input).
 Result<std::vector<MetaOp>> DecodeBatch(std::string_view blob);
 
 // RPC method ids served by the TFS.

@@ -1,5 +1,6 @@
 #include "src/tfs/service.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -20,7 +21,15 @@ std::string ClientKey(uint64_t client_id) {
                      sizeof(client_id));
 }
 
-constexpr uint64_t kMaxFileBytes = 1ull << 46;
+// The pooled-extent oids an attach run consumes.
+std::vector<Oid> ExtentOids(const MetaOp& op) {
+  std::vector<Oid> oids;
+  oids.reserve(op.extents.size());
+  for (uint64_t extent : op.extents) {
+    oids.push_back(Oid::Make(ObjType::kExtent, extent));
+  }
+  return oids;
+}
 
 }  // namespace
 
@@ -130,7 +139,7 @@ Status TrustedFsService::Validate(uint64_t client_id, MetaOp* op) {
       const ObjType want = op->type == MetaOpType::kCreateFile
                                ? ObjType::kMFile
                                : ObjType::kCollection;
-      if (op->obj.type() != want || !PoolContains(client_id, op->obj)) {
+      if (op->obj.type() != want || !PoolContains(client_id, {op->obj})) {
         return Status(ErrorCode::kPermissionDenied,
                       "object not in client pool");
       }
@@ -247,16 +256,35 @@ Status TrustedFsService::Validate(uint64_t client_id, MetaOp* op) {
       if (file.single_extent()) {
         return bad("cannot attach to single-extent file");
       }
-      if (op->a * kScmPageSize >= kMaxFileBytes) {
-        return bad("page index out of range");
+      // The run is validated as a whole: its page range is in bounds (no
+      // overflow), every page is a hole, and every extent is page-aligned,
+      // used once, allocated and in the caller's pool.
+      const uint64_t n = op->extents.size();
+      if (n == 0 || op->a >= MFile::kMaxPages ||
+          n > MFile::kMaxPages - op->a) {
+        return bad("page run out of range");
       }
-      const Oid extent = Oid::Make(ObjType::kExtent, op->b);
-      if (!PoolContains(client_id, extent)) {
+      std::vector<uint64_t> sorted = op->extents;
+      std::sort(sorted.begin(), sorted.end());
+      if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+        return bad("extent repeated in run");
+      }
+      for (uint64_t extent : op->extents) {
+        if (extent % kScmPageSize != 0) {
+          return bad("unaligned extent");
+        }
+      }
+      if (!PoolContains(client_id, ExtentOids(*op))) {
         return Status(ErrorCode::kPermissionDenied,
                       "extent not in client pool");
       }
-      if (!ctx_.alloc->IsAllocated(op->b)) {
-        return Status(ErrorCode::kCorrupted, "extent not allocated");
+      for (uint64_t i = 0; i < n; ++i) {
+        if (!ctx_.alloc->IsAllocated(op->extents[i])) {
+          return Status(ErrorCode::kCorrupted, "extent not allocated");
+        }
+        if (file.ExtentForPage(op->a + i).ok()) {
+          return Status(ErrorCode::kAlreadyExists, "page already mapped");
+        }
       }
       return OkStatus();
     }
@@ -266,7 +294,7 @@ Status TrustedFsService::Validate(uint64_t client_id, MetaOp* op) {
       AERIE_RETURN_IF_ERROR(
           HoldsWriteLock(client_id, op->obj.lock_id(), op->authority));
       AERIE_ASSIGN_OR_RETURN(MFile file, open_file(op->obj));
-      if (op->a > kMaxFileBytes) {
+      if (op->a > MFile::kMaxFileBytes) {
         return bad("size out of range");
       }
       if (file.single_extent() && op->a > file.capacity()) {
@@ -292,7 +320,7 @@ Status TrustedFsService::Validate(uint64_t client_id, MetaOp* op) {
           HoldsWriteLock(client_id, op->authority, op->authority));
       AERIE_ASSIGN_OR_RETURN(Collection coll, open_dir(op->dir));
       if (op->obj.type() != ObjType::kMFile ||
-          !PoolContains(client_id, op->obj)) {
+          !PoolContains(client_id, {op->obj})) {
         return Status(ErrorCode::kPermissionDenied,
                       "object not in client pool");
       }
@@ -349,7 +377,7 @@ Status TrustedFsService::Apply(uint64_t client_id, const MetaOp& op,
                                      ErrorCode::kAlreadyExists));
       AERIE_ASSIGN_OR_RETURN(MFile file, MFile::Open(ctx_, op.obj));
       file.SetLinkCount(op.obj_links);
-      return PoolRemove(client_id, op.obj);
+      return PoolRemove(client_id, {op.obj});
     }
 
     case MetaOpType::kCreateDir: {
@@ -360,7 +388,7 @@ Status TrustedFsService::Apply(uint64_t client_id, const MetaOp& op,
                              Collection::Open(ctx_, op.obj));
       child.SetParentOid(op.dir);
       child.SetLinkCount(op.obj_links);
-      return PoolRemove(client_id, op.obj);
+      return PoolRemove(client_id, {op.obj});
     }
 
     case MetaOpType::kLink: {
@@ -434,10 +462,10 @@ Status TrustedFsService::Apply(uint64_t client_id, const MetaOp& op,
     }
 
     case MetaOpType::kAttachExtent: {
+      // Idempotent as is: pages already holding their run extent are kept.
       AERIE_ASSIGN_OR_RETURN(MFile file, MFile::Open(ctx_, op.obj));
-      AERIE_RETURN_IF_ERROR(tolerate(file.AttachExtent(op.a, op.b),
-                                     ErrorCode::kAlreadyExists));
-      return PoolRemove(client_id, Oid::Make(ObjType::kExtent, op.b));
+      AERIE_RETURN_IF_ERROR(file.AttachExtents(op.a, op.extents));
+      return PoolRemove(client_id, ExtentOids(op));
     }
 
     case MetaOpType::kSetSize: {
@@ -491,7 +519,7 @@ Status TrustedFsService::Apply(uint64_t client_id, const MetaOp& op,
       AERIE_ASSIGN_OR_RETURN(MFile file, MFile::Open(ctx_, op.obj));
       AERIE_RETURN_IF_ERROR(file.SetSize(op.a));
       file.SetLinkCount(op.obj_links);
-      return PoolRemove(client_id, op.obj);
+      return PoolRemove(client_id, {op.obj});
     }
 
     case MetaOpType::kFlatErase: {
@@ -792,19 +820,31 @@ Result<std::vector<Oid>> TrustedFsService::PoolFill(uint64_t client_id,
   return out;
 }
 
-bool TrustedFsService::PoolContains(uint64_t client_id, Oid oid) {
+bool TrustedFsService::PoolContains(uint64_t client_id,
+                                    const std::vector<Oid>& oids) {
   std::lock_guard lock(clients_mu_);
   auto it = clients_.find(client_id);
-  return it != clients_.end() && it->second.pool.count(oid.raw()) != 0;
+  if (it == clients_.end()) {
+    return false;
+  }
+  for (Oid oid : oids) {
+    if (it->second.pool.count(oid.raw()) == 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
-Status TrustedFsService::PoolRemove(uint64_t client_id, Oid oid) {
+Status TrustedFsService::PoolRemove(uint64_t client_id,
+                                    const std::vector<Oid>& oids) {
   Oid table_oid;
   {
     std::lock_guard lock(clients_mu_);
     auto it = clients_.find(client_id);
     if (it != clients_.end()) {
-      it->second.pool.erase(oid.raw());
+      for (Oid oid : oids) {
+        it->second.pool.erase(oid.raw());
+      }
       table_oid = it->second.pool_table;
     }
   }
@@ -825,12 +865,17 @@ Status TrustedFsService::PoolRemove(uint64_t client_id, Oid oid) {
   if (!table.ok()) {
     return OkStatus();
   }
-  std::lock_guard lock(alloc_mu_);
-  Status st = table->Erase(OidKey(oid));
-  if (st.code() == ErrorCode::kNotFound) {
-    return OkStatus();  // already consumed (replayed op)
+  std::vector<std::string> keys;
+  keys.reserve(oids.size());
+  for (Oid oid : oids) {
+    keys.push_back(OidKey(oid));
   }
-  return st;
+  // One erase for the lot; keys already consumed (a replayed op) are
+  // skipped.
+  std::lock_guard lock(alloc_mu_);
+  return table->EraseMany(std::vector<std::string_view>(keys.begin(),
+                                                        keys.end()))
+      .status();
 }
 
 // --- Open-file table (§6.1) ---------------------------------------------
@@ -952,7 +997,7 @@ Status TrustedFsService::ServiceWrite(uint64_t client_id, Oid file,
       if (!f.ExtentForPage(p).ok()) {
         AERIE_ASSIGN_OR_RETURN(uint64_t extent, ctx_.alloc->Alloc(0));
         std::memset(ctx_.region->PtrAt(extent), 0, kScmPageSize);
-        AERIE_RETURN_IF_ERROR(f.AttachExtent(p, extent));
+        AERIE_RETURN_IF_ERROR(f.AttachExtents(p, {&extent, 1}));
       }
     }
   }

@@ -129,8 +129,10 @@ class TrustedFsService {
 
   // Pool helpers. Persistent + volatile bookkeeping.
   Result<Oid> EnsurePoolTable(uint64_t client_id);
-  bool PoolContains(uint64_t client_id, Oid oid);
-  Status PoolRemove(uint64_t client_id, Oid oid);
+  // True when every oid is in the client's pool.
+  bool PoolContains(uint64_t client_id, const std::vector<Oid>& oids);
+  // Drops the oids from the client's pool with one pool-table erase.
+  Status PoolRemove(uint64_t client_id, const std::vector<Oid>& oids);
   // Frees every object left in a pool table, then the table itself. With
   // `only_unlinked` (recovery), mFiles and collections that a replayed
   // create already linked are kept.

@@ -1,16 +1,19 @@
 // Cache-line crash-state enumeration tests (ISSUE: persistence-ordering
-// crash checker). Three layers:
+// crash checker). Four layers:
 //
 //  * CrashSimTest.CleanSweep*: the full system runs a create/write workload
 //    under the simulator; every enumerated crash image must reboot, recover,
 //    pass fsck, and contain every acknowledged op (prefix semantics).
+//  * CrashSimTest.RunAttach*: a 5-page append + Fsync, one page-run attach;
+//    every image must hold the run whole or not at all, leak no pooled
+//    extent, and keep the acknowledged append.
 //  * CrashSimTest.RedoLog*: the redo log alone under the simulator, covering
 //    the torn-truncate window, Rollback after a partial append, and the
 //    kOutOfSpace apply+truncate boundary.
-//  * CrashMutationTest.*: suppress one registered flush site in the txlog
-//    commit path and require the checker to report corruption — mutation
-//    testing of the checker itself (a checker that cannot see injected bugs
-//    proves nothing by passing).
+//  * CrashMutationTest.*: suppress one registered flush site (txlog commit
+//    path, page-run attach) and require the checker to report corruption —
+//    mutation testing of the checker itself (a checker that cannot see
+//    injected bugs proves nothing by passing).
 //
 // The sweep honors AERIE_CRASH_SAMPLES / AERIE_CRASH_SEED (nightly CI knobs)
 // via CrashSimOptions::FromEnv. A failure prints (seed, point, draw); replay
@@ -19,11 +22,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/hash.h"
 #include "src/libfs/system.h"
+#include "src/osd/collection.h"
+#include "src/osd/mfile.h"
 #include "src/pxfs/pxfs.h"
 #include "src/scm/crash_sim.h"
 #include "src/tfs/fsck.h"
@@ -448,6 +454,186 @@ TEST(CrashSimTest, RedoLogOutOfSpaceTruncateBoundaryIsSafe) {
   ::unlink(options.image_path.c_str());
 }
 
+// --- Page-run attach ------------------------------------------------------
+
+// A 5-page append is one kAttachExtent run (plus kSetSize). Whatever fence
+// the crash lands on, recovery must see the run whole or not at all, with
+// no pooled extent leaked and the acknowledged append intact.
+constexpr uint64_t kRunPages = 5;
+constexpr char kRunPath[] = "/w/run";
+
+std::string RunPayload() {
+  std::string data(kRunPages * kScmPageSize, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>('a' + (i / kScmPageSize) * 3 + i % 3);
+  }
+  return data;
+}
+
+// Extents in the client's persistent pool table: the candidates the run
+// takes its extents from.
+std::vector<uint64_t> PooledExtents(AerieSystem* sys, uint64_t client_id) {
+  std::vector<uint64_t> out;
+  const OsdContext ctx = sys->volume()->context();
+  auto system = Collection::Open(ctx, sys->volume()->root_oid());
+  EXPECT_TRUE(system.ok());
+  auto pools = Collection::Open(ctx, Oid(*system->Lookup("pools")));
+  EXPECT_TRUE(pools.ok());
+  const std::string key(reinterpret_cast<const char*>(&client_id),
+                        sizeof(client_id));
+  auto table = Collection::Open(ctx, Oid(*pools->Lookup(key)));
+  EXPECT_TRUE(table.ok());
+  (void)table->Scan([&](std::string_view, uint64_t raw) {
+    if (Oid(raw).type() == ObjType::kExtent) {
+      out.push_back(Oid(raw).offset());
+    }
+    return true;
+  });
+  return out;
+}
+
+CrashSimulator::Checker RunAttachChecker(const std::vector<uint64_t>* pooled,
+                                         const bool* acked) {
+  return [pooled, acked](const std::string& image_path) -> Status {
+    auto corrupted = [](const std::string& msg) {
+      return Status(ErrorCode::kCorrupted, msg);
+    };
+    AerieSystem::Options options = SmallSystemOptions();
+    options.region_path = image_path;
+    options.fresh = false;
+    auto sys = AerieSystem::Create(options);
+    if (!sys.ok()) {
+      return corrupted("reboot/recovery failed: " + sys.status().ToString());
+    }
+    auto report = RunFsck((*sys)->volume());
+    if (!report.ok()) {
+      return report.status();
+    }
+    if (!report->ok()) {
+      return corrupted("fsck: " + report->Summary());
+    }
+    auto client = (*sys)->NewClient();
+    if (!client.ok()) {
+      return client.status();
+    }
+    Pxfs fs((*client)->fs());
+    auto st = fs.Stat(kRunPath);
+    if (!st.ok()) {
+      return corrupted("file created before the append is missing");
+    }
+    const OsdContext ctx = (*sys)->volume()->context();
+    auto file = MFile::Open(ctx, st->oid);
+    if (!file.ok()) {
+      return file.status();
+    }
+    std::set<uint64_t> mapped;
+    (void)file->ForEachExtent([&](uint64_t, uint64_t extent) {
+      mapped.insert(extent);
+      return true;
+    });
+    if (!mapped.empty() && mapped.size() != kRunPages) {
+      return corrupted("run partially attached: " +
+                       std::to_string(mapped.size()) + " pages");
+    }
+    // Prefix oracle: kSetSize follows the run, and Fsync acknowledged both.
+    const std::string want = RunPayload();
+    if (st->size != 0 && st->size != want.size()) {
+      return corrupted("torn size " + std::to_string(st->size));
+    }
+    if (st->size == want.size() && mapped.size() != kRunPages) {
+      return corrupted("size covers pages the run never attached");
+    }
+    if (*acked && st->size != want.size()) {
+      return corrupted("acknowledged append lost");
+    }
+    if (st->size == want.size()) {
+      auto fd = fs.Open(kRunPath, kOpenRead);
+      if (!fd.ok()) {
+        return fd.status();
+      }
+      std::string got(want.size(), '\0');
+      auto n = fs.Read(*fd, std::span<char>(got.data(), got.size()));
+      (void)fs.Close(*fd);
+      if (!n.ok() || got != want) {
+        return corrupted("appended content damaged");
+      }
+    }
+    // No leak: recovery frees what is still pooled, so every pooled extent
+    // is either mapped by the run or free again.
+    const std::set<uint64_t> candidates(pooled->begin(), pooled->end());
+    for (uint64_t extent : mapped) {
+      if (candidates.count(extent) == 0) {
+        return corrupted("run mapped an extent it never pooled");
+      }
+    }
+    for (uint64_t extent : candidates) {
+      if ((mapped.count(extent) != 0) != ctx.alloc->IsAllocated(extent)) {
+        return corrupted(mapped.count(extent) != 0
+                             ? "mapped extent is free"
+                             : "pooled extent leaked");
+      }
+    }
+    return OkStatus();
+  };
+}
+
+struct SimOutcome {
+  bool ok = false;
+  uint64_t images = 0;
+  uint64_t budget = 0;  // max_images
+  std::string report;
+};
+
+// Enumerates crash images at every fence of a 5-page append + Fsync, with
+// the persist site `suppress` (null: none) made to never happen.
+SimOutcome RunAttachUnderSim(SystemUnderTest* t, const char* tag,
+                             const char* suppress) {
+  auto fd = t->fs->Open(kRunPath, kOpenCreate | kOpenWrite);
+  EXPECT_TRUE(fd.ok());
+  const std::vector<uint64_t> pooled =
+      PooledExtents(t->sys.get(), t->client->id());
+  EXPECT_GE(pooled.size(), kRunPages);
+  bool acked = false;
+
+  CrashSimOptions options;
+  options.seed = 5150;
+  options.max_images = 600;
+  options.random_draws_per_point = 3;
+  options.stop_on_failure = suppress != nullptr;
+  options.image_path = UniqueImagePath(tag);
+  if (suppress == nullptr) {
+    options = CrashSimOptions::FromEnv(options);  // nightly seed and budget
+  }
+  SimOutcome outcome;
+  {
+    CrashSimulator sim(t->sys->scm_region(), options,
+                       RunAttachChecker(&pooled, &acked));
+    if (suppress != nullptr) {
+      sim.SuppressSite(RegisterPersistSite(suppress));
+    }
+    const std::string data = RunPayload();
+    EXPECT_TRUE(
+        t->fs->Write(*fd, std::span<const char>(data.data(), data.size()))
+            .ok());
+    EXPECT_TRUE(t->fs->Fsync(*fd).ok());
+    acked = true;
+    outcome = {sim.ok(), sim.images_checked(),
+               static_cast<uint64_t>(options.max_images), sim.Report()};
+  }
+  EXPECT_TRUE(t->fs->Close(*fd).ok());
+  ::unlink(options.image_path.c_str());
+  return outcome;
+}
+
+TEST(CrashSimTest, RunAttachIsAllOrNothingAtEveryFence) {
+  SystemUnderTest t = BootPrimedSystem();
+  const SimOutcome sim = RunAttachUnderSim(&t, "run_attach", nullptr);
+  EXPECT_TRUE(sim.ok) << sim.report;
+  // About 20 fences, 5 images each; a smaller budget caps the count.
+  EXPECT_GE(sim.images, std::min<uint64_t>(50, sim.budget)) << sim.report;
+  std::fprintf(stderr, "%s\n", sim.report.c_str());
+}
+
 // --- Mutation mode --------------------------------------------------------
 
 // Suppresses one registered persistence site in the txlog commit path and
@@ -489,6 +675,19 @@ TEST(CrashMutationTest, DetectsSuppressedCommitBFlush) {
 // record to replay: the in-place apply is torn with no redo.
 TEST(CrashMutationTest, DetectsSuppressedCommitPublishFlush) {
   RunMutation("txlog.commit.publish.flush", "mut_publish", 4);
+}
+
+// Without the run's leaf-slot flush the slots are never durable: once the
+// log is checkpointed a crash unmaps acknowledged pages and leaks their
+// extents.
+TEST(CrashMutationTest, DetectsSuppressedAttachRunFlush) {
+  SystemUnderTest t = BootPrimedSystem();
+  const SimOutcome sim =
+      RunAttachUnderSim(&t, "mut_attach", "mfile.attach.flush");
+  EXPECT_FALSE(sim.ok) << "suppressing mfile.attach.flush was not detected\n"
+                       << sim.report;
+  std::fprintf(stderr, "detected mfile.attach.flush:\n%s\n",
+               sim.report.c_str());
 }
 
 // Without the truncate flush the stale (larger) head survives a checkpoint

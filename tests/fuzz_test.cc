@@ -133,7 +133,9 @@ TEST(FuzzTest, ApplyBatchSurvivesGarbageAndMaliciousOps) {
     op.name2 = "g" + std::to_string(rng.Uniform(10));
     op.obj = Oid(rng.Next());
     op.a = rng.Next();
-    op.b = rng.Next();
+    for (uint64_t i = rng.Uniform(4); i > 0; --i) {
+      op.extents.push_back(rng.Next());
+    }
     // Forge "server-enriched" fields too: the server must recompute them.
     op.victim = Oid(rng.Next());
     op.victim_links = rng.Next();

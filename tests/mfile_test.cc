@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/common/rand.h"
 #include "src/osd/mfile.h"
@@ -12,6 +13,11 @@
 
 namespace aerie {
 namespace {
+
+// Attaches a single page: a run of one.
+Status AttachOne(MFile& file, uint64_t page, uint64_t extent) {
+  return file.AttachExtents(page, {&extent, 1});
+}
 
 class MFileTest : public ::testing::Test {
  protected:
@@ -54,7 +60,7 @@ TEST_F(MFileTest, AttachAndReadBack) {
   ASSERT_TRUE(file.ok());
   const uint64_t extent = NewExtent();
   std::memcpy(ctx_.region->PtrAt(extent), "page zero data", 14);
-  ASSERT_TRUE(file->AttachExtent(0, extent).ok());
+  ASSERT_TRUE(AttachOne(*file, 0, extent).ok());
   ASSERT_TRUE(file->SetSize(14).ok());
 
   char buf[32] = {};
@@ -68,9 +74,72 @@ TEST_F(MFileTest, AttachAndReadBack) {
 TEST_F(MFileTest, DoubleAttachRejected) {
   auto file = MFile::Create(ctx_, 0);
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file->AttachExtent(0, NewExtent()).ok());
-  EXPECT_EQ(file->AttachExtent(0, NewExtent()).code(),
+  ASSERT_TRUE(AttachOne(*file, 0, NewExtent()).ok());
+  EXPECT_EQ(AttachOne(*file, 0, NewExtent()).code(),
             ErrorCode::kAlreadyExists);
+}
+
+TEST_F(MFileTest, RunAttachPersistsOneLeafRunWithOneFence) {
+  auto file = MFile::Create(ctx_, 0);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(AttachOne(*file, 0, NewExtent()).ok());  // root leaf exists
+  std::vector<uint64_t> extents;
+  for (int i = 0; i < 5; ++i) {
+    extents.push_back(NewExtent());
+  }
+  const uint64_t fences = region_->stats().fences.value();
+  const uint64_t lines = region_->stats().lines_flushed.value();
+  ASSERT_TRUE(file->AttachExtents(1, extents).ok());
+  // Slots 1..5 share one cache line of the leaf: one flush, one fence.
+  EXPECT_EQ(region_->stats().fences.value() - fences, 1u);
+  EXPECT_EQ(region_->stats().lines_flushed.value() - lines, 1u);
+  for (uint64_t i = 0; i < extents.size(); ++i) {
+    EXPECT_EQ(*file->ExtentForPage(1 + i), extents[i]);
+  }
+}
+
+TEST_F(MFileTest, RunAttachSpansLeavesAndIsIdempotent) {
+  auto file = MFile::Create(ctx_, 0);
+  ASSERT_TRUE(file.ok());
+  // Pages 500..1039 cross two leaf boundaries and grow the tree to height 2.
+  std::vector<uint64_t> extents;
+  for (int i = 0; i < 540; ++i) {
+    extents.push_back(NewExtent());
+  }
+  ASSERT_TRUE(file->AttachExtents(500, extents).ok());
+  for (uint64_t i = 0; i < extents.size(); ++i) {
+    ASSERT_EQ(*file->ExtentForPage(500 + i), extents[i]) << i;
+  }
+  EXPECT_EQ(file->ExtentForPage(499).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(file->ExtentForPage(1040).code(), ErrorCode::kNotFound);
+  // Re-applying the same run (a replayed log record) keeps every page.
+  ASSERT_TRUE(file->AttachExtents(500, extents).ok());
+  EXPECT_EQ(*file->ExtentForPage(777), extents[277]);
+  EXPECT_TRUE(file->Validate().ok());
+}
+
+TEST_F(MFileTest, RunAttachIsAllOrNothing) {
+  auto file = MFile::Create(ctx_, 0);
+  ASSERT_TRUE(file.ok());
+  const uint64_t taken = NewExtent();
+  ASSERT_TRUE(AttachOne(*file, 3, taken).ok());
+  std::vector<uint64_t> extents;
+  for (int i = 0; i < 5; ++i) {
+    extents.push_back(NewExtent());
+  }
+  // Page 3 of the run 0..4 maps a different extent: nothing is stored.
+  EXPECT_EQ(file->AttachExtents(0, extents).code(),
+            ErrorCode::kAlreadyExists);
+  for (uint64_t p : {0, 1, 2, 4}) {
+    EXPECT_EQ(file->ExtentForPage(p).code(), ErrorCode::kNotFound) << p;
+  }
+  EXPECT_EQ(*file->ExtentForPage(3), taken);
+  // Empty and out-of-range (including wrapping) runs are refused.
+  EXPECT_EQ(file->AttachExtents(0, {}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(file->AttachExtents(MFile::kMaxPages - 2, extents).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(file->AttachExtents(~0ull - 1, extents).code(),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST_F(MFileTest, TreeGrowsAcrossLevels) {
@@ -81,7 +150,7 @@ TEST_F(MFileTest, TreeGrowsAcrossLevels) {
   std::map<uint64_t, uint64_t> attached;
   for (uint64_t p : pages) {
     const uint64_t extent = NewExtent();
-    ASSERT_TRUE(file->AttachExtent(p, extent).ok()) << p;
+    ASSERT_TRUE(AttachOne(*file, p, extent).ok()) << p;
     attached[p] = extent;
   }
   for (const auto& [page, extent] : attached) {
@@ -99,7 +168,7 @@ TEST_F(MFileTest, SparseReadsReturnZeros) {
   ASSERT_TRUE(file.ok());
   const uint64_t extent = NewExtent();
   std::memset(ctx_.region->PtrAt(extent), 0xee, kScmPageSize);
-  ASSERT_TRUE(file->AttachExtent(2, extent).ok());
+  ASSERT_TRUE(AttachOne(*file, 2, extent).ok());
   ASSERT_TRUE(file->SetSize(3 * kScmPageSize).ok());
 
   std::string buf(3 * kScmPageSize, 'x');
@@ -117,7 +186,7 @@ TEST_F(MFileTest, WriteInPlaceRequiresExtents) {
   const char data[] = "hello";
   EXPECT_EQ(file->WriteInPlace(0, std::span<const char>(data, 5)).code(),
             ErrorCode::kNotFound);
-  ASSERT_TRUE(file->AttachExtent(0, NewExtent()).ok());
+  ASSERT_TRUE(AttachOne(*file, 0, NewExtent()).ok());
   EXPECT_TRUE(file->WriteInPlace(0, std::span<const char>(data, 5)).ok());
   ctx_.region->BFlush();
   ASSERT_TRUE(file->SetSize(5).ok());
@@ -129,8 +198,8 @@ TEST_F(MFileTest, WriteInPlaceRequiresExtents) {
 TEST_F(MFileTest, CrossPageWrite) {
   auto file = MFile::Create(ctx_, 0);
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file->AttachExtent(0, NewExtent()).ok());
-  ASSERT_TRUE(file->AttachExtent(1, NewExtent()).ok());
+  ASSERT_TRUE(AttachOne(*file, 0, NewExtent()).ok());
+  ASSERT_TRUE(AttachOne(*file, 1, NewExtent()).ok());
   std::string data(6000, 'q');
   ASSERT_TRUE(
       file->WriteInPlace(1000, std::span<const char>(data.data(), 6000))
@@ -148,7 +217,7 @@ TEST_F(MFileTest, TruncateFreesTail) {
   const uint64_t free_start = ctx_.alloc->pages_free();
   EXPECT_EQ(free_start, free_before_create - 1);  // header page
   for (uint64_t p = 0; p < 20; ++p) {
-    ASSERT_TRUE(file->AttachExtent(p, NewExtent()).ok());
+    ASSERT_TRUE(AttachOne(*file, p, NewExtent()).ok());
   }
   ASSERT_TRUE(file->SetSize(20 * kScmPageSize).ok());
   ASSERT_TRUE(file->Truncate(5 * kScmPageSize).ok());
@@ -168,7 +237,7 @@ TEST_F(MFileTest, DestroyFreesEverything) {
   auto file = MFile::Create(ctx_, 0);
   ASSERT_TRUE(file.ok());
   for (uint64_t p = 0; p < 600; ++p) {  // forces height 2
-    ASSERT_TRUE(file->AttachExtent(p, NewExtent()).ok());
+    ASSERT_TRUE(AttachOne(*file, p, NewExtent()).ok());
   }
   ASSERT_TRUE(file->Destroy().ok());
   EXPECT_EQ(ctx_.alloc->pages_free(), free_start);
@@ -190,7 +259,7 @@ TEST_F(MFileTest, ForEachExtentVisitsAll) {
   std::map<uint64_t, uint64_t> attached;
   for (uint64_t p : {0ull, 7ull, 513ull, 4096ull}) {
     const uint64_t extent = NewExtent();
-    ASSERT_TRUE(file->AttachExtent(p, extent).ok());
+    ASSERT_TRUE(AttachOne(*file, p, extent).ok());
     attached[p] = extent;
   }
   std::map<uint64_t, uint64_t> seen;
@@ -228,7 +297,7 @@ TEST_F(MFileTest, SingleExtentCapacityEnforced) {
           .code(),
       ErrorCode::kOutOfSpace);
   EXPECT_EQ(file->SetSize(5000).code(), ErrorCode::kOutOfSpace);
-  EXPECT_EQ(file->AttachExtent(0, NewExtent()).code(),
+  EXPECT_EQ(AttachOne(*file, 0, NewExtent()).code(),
             ErrorCode::kNotSupported);
 }
 
@@ -271,7 +340,7 @@ TEST_P(MFileRandomIoTest, RandomWritesMatchReferenceBuffer) {
         auto extent = ctx.alloc->Alloc(0);
         ASSERT_TRUE(extent.ok());
         std::memset(ctx.region->PtrAt(*extent), 0, kScmPageSize);
-        ASSERT_TRUE(file->AttachExtent(p, *extent).ok());
+        ASSERT_TRUE(AttachOne(*file, p, *extent).ok());
       }
     }
     ASSERT_TRUE(

@@ -62,6 +62,39 @@ TEST_F(PxfsTest, CreateWriteReadRoundTrip) {
   EXPECT_EQ(ReadAll("/hello.txt"), "hello aerie");
 }
 
+TEST_F(PxfsTest, AppendLogsOneAttachPerRunOfHolePages) {
+  auto fd = pxfs_->Open("/run", kOpenCreate | kOpenWrite);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  LibFs* fs = client_->fs();
+  const std::string data(64 << 10, 'r');
+  uint64_t before = fs->ops_logged();
+  ASSERT_TRUE(
+      pxfs_->Write(*fd, std::span<const char>(data.data(), data.size())).ok());
+  // 16 hole pages: one run attach + kSetSize, not 16 attaches + kSetSize.
+  EXPECT_EQ(fs->ops_logged() - before, 2u);
+
+  // Mapped pages split runs: pages 16 and 18 are written first, so a write
+  // over pages 15..19 attaches the runs {17} and {19} and sets the size.
+  const std::string page(kScmPageSize, 'p');
+  for (uint64_t p : {16, 18}) {
+    ASSERT_TRUE(pxfs_
+                    ->Pwrite(*fd, p * kScmPageSize,
+                             std::span<const char>(page.data(), page.size()))
+                    .ok());
+  }
+  const std::string span5(5 * kScmPageSize, 's');
+  before = fs->ops_logged();
+  ASSERT_TRUE(pxfs_
+                  ->Pwrite(*fd, 15 * kScmPageSize,
+                           std::span<const char>(span5.data(), span5.size()))
+                  .ok());
+  EXPECT_EQ(fs->ops_logged() - before, 3u);
+  ASSERT_TRUE(pxfs_->Fsync(*fd).ok());
+  ASSERT_TRUE(pxfs_->Close(*fd).ok());
+  EXPECT_EQ(ReadAll("/run"),
+            data.substr(0, 15 * kScmPageSize) + span5);
+}
+
 TEST_F(PxfsTest, OpenMissingFileFails) {
   EXPECT_EQ(pxfs_->Open("/missing", kOpenRead).code(), ErrorCode::kNotFound);
 }

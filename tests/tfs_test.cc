@@ -326,15 +326,153 @@ TEST_F(TfsTest, AttachExtentValidatesPoolAndAllocation) {
   attach.authority = fs()->pxfs_root().lock_id();
   attach.obj = *file;
   attach.a = 0;
-  attach.b = extent->offset();
+  attach.extents = {extent->offset()};
   ASSERT_TRUE(tfs()->ApplyBatch(cid(), EncodeBatch({create, attach})).ok());
 
   // A second attach of a never-pooled extent is rejected.
   MetaOp forged = attach;
   forged.a = 1;
-  forged.b = sys_->partition_offset() + (8 << 20);
+  forged.extents = {sys_->partition_offset() + (8 << 20)};
   EXPECT_EQ(tfs()->ApplyBatch(cid(), OneOp(forged)).code(),
             ErrorCode::kPermissionDenied);
+}
+
+// --- Page-run attach validation: a bad run is rejected whole ---
+
+class TfsRunTest : public TfsTest {
+ protected:
+  void SetUp() override {
+    TfsTest::SetUp();
+    LockRootXH();
+    auto file = fs()->TakePooled(ObjType::kMFile);
+    ASSERT_TRUE(file.ok());
+    file_ = *file;
+    MetaOp create;
+    create.type = MetaOpType::kCreateFile;
+    create.authority = fs()->pxfs_root().lock_id();
+    create.dir = fs()->pxfs_root();
+    create.name = "run";
+    create.obj = file_;
+    ASSERT_TRUE(tfs()->ApplyBatch(cid(), OneOp(create)).ok());
+  }
+
+  // An attach of `extents` at pages [first, first + extents.size()).
+  MetaOp Run(uint64_t first, std::vector<uint64_t> extents) {
+    MetaOp op;
+    op.type = MetaOpType::kAttachExtent;
+    op.authority = fs()->pxfs_root().lock_id();
+    op.obj = file_;
+    op.a = first;
+    op.extents = std::move(extents);
+    return op;
+  }
+
+  std::vector<uint64_t> PooledExtents(int n) {
+    std::vector<uint64_t> out;
+    for (int i = 0; i < n; ++i) {
+      auto extent = fs()->TakePooled(ObjType::kExtent);
+      EXPECT_TRUE(extent.ok());
+      out.push_back(extent->offset());
+    }
+    return out;
+  }
+
+  uint64_t MappedPages() {
+    auto file = MFile::Open(fs()->read_context(), file_);
+    EXPECT_TRUE(file.ok());
+    uint64_t pages = 0;
+    (void)file->ForEachExtent([&](uint64_t, uint64_t) {
+      pages++;
+      return true;
+    });
+    return pages;
+  }
+
+  Oid file_;
+};
+
+TEST_F(TfsRunTest, ValidRunAttachesEveryPageAndLeavesThePool) {
+  const std::vector<uint64_t> extents = PooledExtents(5);
+  ASSERT_TRUE(tfs()->ApplyBatch(cid(), OneOp(Run(3, extents))).ok());
+  auto file = MFile::Open(fs()->read_context(), file_);
+  ASSERT_TRUE(file.ok());
+  for (uint64_t i = 0; i < extents.size(); ++i) {
+    EXPECT_EQ(*file->ExtentForPage(3 + i), extents[i]);
+  }
+  // Consumed from the pool: reusing any of them elsewhere is refused.
+  EXPECT_EQ(tfs()->ApplyBatch(cid(), OneOp(Run(20, {extents[2]}))).code(),
+            ErrorCode::kPermissionDenied);
+  // Pages already mapped cannot be attached again.
+  EXPECT_EQ(
+      tfs()->ApplyBatch(cid(), OneOp(Run(7, PooledExtents(2)))).code(),
+      ErrorCode::kAlreadyExists);
+  EXPECT_EQ(MappedPages(), 5u);
+}
+
+TEST_F(TfsRunTest, RunWithANeverPooledExtentIsRejectedWhole) {
+  std::vector<uint64_t> extents = PooledExtents(4);
+  extents[2] = sys_->partition_offset() + (8 << 20);  // never pooled
+  EXPECT_EQ(tfs()->ApplyBatch(cid(), OneOp(Run(0, extents))).code(),
+            ErrorCode::kPermissionDenied);
+  EXPECT_EQ(MappedPages(), 0u);
+  // The genuine extents stayed pooled: a run of them alone still attaches.
+  extents.erase(extents.begin() + 2);
+  ASSERT_TRUE(tfs()->ApplyBatch(cid(), OneOp(Run(0, extents))).ok());
+  EXPECT_EQ(MappedPages(), 3u);
+}
+
+TEST_F(TfsRunTest, RunRepeatingAnExtentIsRejectedWhole) {
+  std::vector<uint64_t> extents = PooledExtents(3);
+  extents.push_back(extents[1]);
+  EXPECT_EQ(tfs()->ApplyBatch(cid(), OneOp(Run(0, extents))).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(MappedPages(), 0u);
+}
+
+TEST_F(TfsRunTest, RunPastMaxFileBytesOrWrappingIsRejectedWhole) {
+  const std::vector<uint64_t> extents = PooledExtents(2);
+  // Last page of the run one past the largest file.
+  EXPECT_EQ(
+      tfs()->ApplyBatch(cid(), OneOp(Run(MFile::kMaxPages - 1, extents)))
+          .code(),
+      ErrorCode::kInvalidArgument);
+  // first + n wraps around 2^64.
+  EXPECT_EQ(tfs()->ApplyBatch(cid(), OneOp(Run(~0ull, extents))).code(),
+            ErrorCode::kInvalidArgument);
+  // An empty run names no page at all.
+  EXPECT_EQ(tfs()->ApplyBatch(cid(), OneOp(Run(0, {}))).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(MappedPages(), 0u);
+  // The largest in-bounds run end is accepted.
+  ASSERT_TRUE(
+      tfs()->ApplyBatch(cid(), OneOp(Run(MFile::kMaxPages - 2, extents)))
+          .ok());
+  EXPECT_EQ(MappedPages(), 2u);
+}
+
+TEST_F(TfsRunTest, ExtentCountLargerThanTheBlobIsRejectedByDecodeBatch) {
+  const std::vector<uint64_t> extents = PooledExtents(2);
+  std::string blob = OneOp(Run(0, {extents[0]}));
+  // The count is the one field where a 1-extent and a 2-extent encoding
+  // first differ; claim far more extents than the blob carries.
+  const std::string two = OneOp(Run(0, extents));
+  size_t at = 0;
+  while (blob[at] == two[at]) {
+    ++at;
+  }
+  ASSERT_EQ(blob[at], 1);
+  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
+    blob[at + i] = static_cast<char>(0xff);
+  }
+  EXPECT_EQ(DecodeBatch(blob).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(tfs()->ApplyBatch(cid(), blob).code(),
+            ErrorCode::kInvalidArgument);
+  // A count one past the extents present fits the bound, but the op then
+  // runs out of bytes: refused as truncated.
+  blob = OneOp(Run(0, {extents[0]}));
+  blob[at] = 2;
+  EXPECT_EQ(DecodeBatch(blob).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(MappedPages(), 0u);
 }
 
 TEST_F(TfsTest, ServiceReadWritePath) {
