@@ -3,7 +3,9 @@
 // Webproxy).
 //
 // Runs each workload on PXFS with the cache enabled and disabled (PXFS-NNC)
-// and reports throughput, speedup, and cache hit rates.
+// and reports throughput, speedup, and cache hit rates. The ancestor-hit
+// rate is the share of misses that resumed from a cached directory on the
+// path instead of walking from the root.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -20,8 +22,8 @@ int main() {
   std::printf("# scale=%.3f, %gs per point; paper speedups: FS +44%%, "
               "WS +121%%, WP +190%%\n\n",
               scale, seconds);
-  std::printf("%-11s %12s %12s %9s %10s\n", "workload", "PXFS it/s",
-              "NNC it/s", "speedup", "hit-rate");
+  std::printf("%-11s %12s %12s %9s %10s %13s\n", "workload", "PXFS it/s",
+              "NNC it/s", "speedup", "hit-rate", "ancestor-hit");
 
   obs::BenchReport report = MakeReport("ablation_name_cache");
 
@@ -32,6 +34,7 @@ int main() {
     const std::string workload(FilebenchKindName(kind));
     double tput[2] = {0, 0};
     double hit_rate = 0;
+    double ancestor_rate = 0;
     for (int cached = 1; cached >= 0; --cached) {
       auto sut = SystemUnderTest::Create(
           cached ? SutKind::kPxfs : SutKind::kPxfsNnc, DefaultSutOptions());
@@ -49,16 +52,24 @@ int main() {
       if (cached) {
         const uint64_t hits = (*sut)->pxfs()->name_cache_hits();
         const uint64_t misses = (*sut)->pxfs()->name_cache_misses();
+        const uint64_t ancestor_hits =
+            (*sut)->pxfs()->name_cache_ancestor_hits();
         hit_rate = hits + misses > 0
                        ? 100.0 * static_cast<double>(hits) /
                              static_cast<double>(hits + misses)
                        : 0;
+        ancestor_rate = misses > 0 ? 100.0 *
+                                         static_cast<double>(ancestor_hits) /
+                                         static_cast<double>(misses)
+                                   : 0;
       }
     }
-    std::printf("%-11s %12.1f %12.1f %8.1f%% %9.1f%%\n", workload.c_str(),
-                tput[1], tput[0], 100.0 * (tput[1] / tput[0] - 1.0),
-                hit_rate);
+    std::printf("%-11s %12.1f %12.1f %8.1f%% %9.1f%% %12.1f%%\n",
+                workload.c_str(), tput[1], tput[0],
+                100.0 * (tput[1] / tput[0] - 1.0), hit_rate, ancestor_rate);
     report.AddValue(workload + ".hit_rate", hit_rate, "percent");
+    report.AddValue(workload + ".ancestor_hit_rate", ancestor_rate,
+                    "percent");
   }
 
   // Attribution pass: short span-mode Webproxy run (the workload with the

@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for Aerie's substrate primitives:
 // collection insert/lookup, mFile read/write paths, lock clerk fast paths,
-// persistence primitives, OID encoding. These calibrate the building blocks
-// the table/figure harnesses compose.
+// PXFS path resolution, persistence primitives, OID encoding. These
+// calibrate the building blocks the table/figure harnesses compose.
 //
 // A custom reporter captures every run's ns/op into the shared BenchReport
 // record (AERIE_BENCH_JSON), alongside an scm+clerk span attribution pass.
@@ -12,10 +12,12 @@
 
 #include "bench/bench_util.h"
 #include "src/common/hash.h"
+#include "src/libfs/system.h"
 #include "src/lock/clerk.h"
 #include "src/osd/collection.h"
 #include "src/osd/mfile.h"
 #include "src/osd/volume.h"
+#include "src/pxfs/pxfs.h"
 
 namespace aerie {
 namespace {
@@ -192,6 +194,40 @@ void BM_ClerkHierarchicalLocalGrant(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClerkHierarchicalLocalGrant);
+
+// PXFS path resolution at depth 5 (/a/b/c/d/<leaf>), through Stat:
+//   hit                a cached file (resolve, then the file's read lock);
+//   miss_cached_parent a missing leaf under a cached directory: one lookup;
+//   cold               the same leaf with the name cache flushed first: a
+//                      walk of five directories that refills four prefixes.
+enum ResolveCase { kResolveHit, kResolveMissCachedParent, kResolveCold };
+
+void BM_PxfsResolve(benchmark::State& state, ResolveCase which) {
+  AerieSystem::Options options;
+  options.region_bytes = 64ull << 20;
+  auto sys = AerieSystem::Create(options);
+  auto client = (*sys)->NewClient();
+  Pxfs fs((*client)->fs());
+  std::string dir;
+  for (const char* name : {"/a", "/b", "/c", "/d"}) {
+    dir += name;
+    (void)fs.Mkdir(dir);
+  }
+  (void)fs.Create(dir + "/f");
+  (void)fs.SyncAll();
+  const std::string path = dir + (which == kResolveHit ? "/f" : "/missing");
+  (void)fs.Stat(dir + "/f");  // warms the cache and the clerk's locks
+  for (auto _ : state) {
+    if (which == kResolveCold) {
+      fs.FlushNameCache();
+    }
+    benchmark::DoNotOptimize(fs.Stat(path).ok());
+  }
+}
+BENCHMARK_CAPTURE(BM_PxfsResolve, hit, kResolveHit);
+BENCHMARK_CAPTURE(BM_PxfsResolve, miss_cached_parent,
+                  kResolveMissCachedParent);
+BENCHMARK_CAPTURE(BM_PxfsResolve, cold, kResolveCold);
 
 // Console output stays intact; per-iteration runs (not aggregates) are also
 // recorded as ns/op values in the machine-readable bench record.

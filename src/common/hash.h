@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string_view>
 
 namespace aerie {
@@ -42,6 +43,15 @@ constexpr uint64_t Mix64(uint64_t x) {
 constexpr uint64_t HashCombine(uint64_t seed, uint64_t v) {
   return seed ^ (Mix64(v) + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
 }
+
+// Hash for string-keyed unordered maps that accepts std::string_view
+// probes, so a lookup needs no std::string (pair it with std::equal_to<>).
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 }  // namespace aerie
 

@@ -21,7 +21,7 @@ FlatFs::FlatFs(LibFs* fs, const Options& options)
     // us; drop them (the departing epoch would force fallback anyway, and a
     // replaced value's storage may be recycled once the batch applies).
     std::unique_lock dlock(direct_mu_);
-    direct_values_.clear();
+    direct_values_.Clear();
   });
 }
 
@@ -61,7 +61,7 @@ Result<std::pair<Oid, uint64_t>> FlatFs::Find(const Collection& coll,
                                               std::string_view key) {
   {
     std::lock_guard lock(overlay_mu_);
-    auto it = pending_.find(std::string(key));
+    auto it = pending_.find(key);
     if (it != pending_.end()) {
       if (it->second.erased) {
         return Status(ErrorCode::kNotFound, "erased");
@@ -91,11 +91,11 @@ bool FlatFs::TryDirectGet(std::string_view key, std::span<char> out,
   DirectValue v;
   {
     std::shared_lock lock(direct_mu_);
-    auto it = direct_values_.find(std::string(key));
-    if (it == direct_values_.end()) {
+    const DirectValue* cached = direct_values_.Find(key);
+    if (cached == nullptr) {
       return false;
     }
-    v = it->second;
+    v = *cached;
   }
   LockClerk* clerk = fs_->clerk();
   if (!clerk->TryEnterDirect(v.epoch)) {
@@ -128,15 +128,12 @@ void FlatFs::CacheDirectValue(std::string_view key, LockId lock, Oid file,
     return;
   }
   std::unique_lock dlock(direct_mu_);
-  if (direct_values_.size() >= kDirectValuesMax) {
-    direct_values_.clear();
-  }
-  direct_values_[std::string(key)] = DirectValue{*extent, size, *epoch};
+  direct_values_.Put(std::string(key), DirectValue{*extent, size, *epoch});
 }
 
 void FlatFs::DropDirectValue(std::string_view key) {
   std::unique_lock dlock(direct_mu_);
-  direct_values_.erase(std::string(key));
+  direct_values_.Erase(key);
 }
 
 Status FlatFs::Put(std::string_view key, std::span<const char> data) {

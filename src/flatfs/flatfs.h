@@ -25,6 +25,8 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "src/common/bounded_map.h"
+#include "src/common/hash.h"
 #include "src/common/status.h"
 #include "src/libfs/client.h"
 #include "src/osd/collection.h"
@@ -73,6 +75,8 @@ class FlatFs {
   uint64_t file_capacity() const { return options_.file_capacity; }
 
  private:
+  friend class FlatFsTestPeer;  // shrinks the value cache in tests
+
   struct PendingEntry {
     uint64_t oid_raw;
     uint64_t size;
@@ -90,7 +94,8 @@ class FlatFs {
   // --- Direct data path (DESIGN.md §10) ---
   // Values are single extents, so a direct get is one epoch-pinned memcpy
   // from the cached extent base. Cached under the bucket lock; any revoke
-  // anywhere bumps the epoch and forces the locked path.
+  // anywhere bumps the epoch and forces the locked path. A full cache
+  // evicts one value at a time.
   struct DirectValue {
     uint64_t extent = 0;  // region offset of the value bytes
     uint64_t size = 0;
@@ -114,10 +119,13 @@ class FlatFs {
   uint64_t hook_token_ = 0;
 
   std::mutex overlay_mu_;
-  std::unordered_map<std::string, PendingEntry> pending_;
+  std::unordered_map<std::string, PendingEntry, StringViewHash,
+                     std::equal_to<>>
+      pending_;
 
   std::shared_mutex direct_mu_;
-  std::unordered_map<std::string, DirectValue> direct_values_;
+  BoundedMap<std::string, DirectValue, StringViewHash, std::equal_to<>>
+      direct_values_{kDirectValuesMax};
 };
 
 }  // namespace aerie

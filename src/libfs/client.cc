@@ -118,6 +118,7 @@ Status LibFs::LogOps(std::vector<MetaOp> ops) {
     batch_bytes_ += WireBytes(op);
     batch_.push_back(std::move(op));
   }
+  logged_seq_.fetch_add(ops.size());
   ops_logged_.Add(ops.size());
   pending_ops_gauge_.Set(static_cast<int64_t>(batch_.size()));
   if (batch_.size() >= options_.max_pending_ops) {
@@ -140,6 +141,7 @@ Status LibFs::LogOp(MetaOp op) {
   std::unique_lock lock(batch_mu_);
   batch_bytes_ += WireBytes(op);
   batch_.push_back(std::move(op));
+  logged_seq_.fetch_add(1);
   ops_logged_.Add(1);
   pending_ops_gauge_.Set(static_cast<int64_t>(batch_.size()));
   if (batch_.size() >= options_.max_pending_ops) {
@@ -188,8 +190,10 @@ Status LibFs::ShipBatchLocked(std::unique_lock<std::mutex>* lock) {
       ship.lock();
     }
     std::vector<MetaOp> ops;
+    uint64_t through;  // the last op in `ops`
     {
       std::lock_guard relock(batch_mu_);
+      through = logged_seq_.load();
       ops.swap(batch_);
       batch_bytes_ = 0;
       pending_ops_gauge_.Set(0);
@@ -215,6 +219,7 @@ Status LibFs::ShipBatchLocked(std::unique_lock<std::mutex>* lock) {
         }
       }
     }
+    shipped_seq_.store(through);
   }
   lock->lock();
   return result;

@@ -91,6 +91,12 @@ class LibFs {
   uint64_t batches_shipped() const { return batches_shipped_.value(); }
   uint64_t ops_logged() const { return ops_logged_.value(); }
   uint64_t pending_ops() const;
+  // Ops are numbered from 1 in logging order. Ships keep that order, so
+  // every op numbered up to shipped_seq() has reached the TFS (applied, or
+  // dropped with its batch), and logged_seq() read after a LogOp returns
+  // covers that op.
+  uint64_t logged_seq() const { return logged_seq_.load(); }
+  uint64_t shipped_seq() const { return shipped_seq_.load(); }
 
   // Interface layers add hooks run whenever a global lock is released or
   // downgraded, receiving the lock id (PXFS flushes its name cache and sends
@@ -160,6 +166,8 @@ class LibFs {
   std::mutex ship_mu_;
   std::vector<MetaOp> batch_;
   uint64_t batch_bytes_ = 0;
+  std::atomic<uint64_t> logged_seq_{0};  // advanced under batch_mu_
+  std::atomic<uint64_t> shipped_seq_{0};
   // Batch statistics live in the obs registry for this mount's lifetime.
   obs::Counter batches_shipped_{"libfs.batch.shipped"};
   // Batches the TFS rejected outright. Never silent: acknowledged ops died

@@ -68,6 +68,17 @@ bool EntryIsTombstone(uint64_t word0) {
   return (word0 & kTombstoneFlag) != 0;
 }
 
+// Client reads of words the TFS publishes (commit words, word0, the table
+// pointer, counts) are acquire loads: the TFS may be applying a batch to
+// the collection while this client reads it.
+uint64_t PublishedCommitted(const BucketRep* bucket) {
+  return ScmRegion::LoadU64(&bucket->committed);
+}
+uint64_t PublishedWord0(const BucketRep* bucket, uint64_t pos) {
+  return ScmRegion::LoadU64(
+      reinterpret_cast<const uint64_t*>(bucket->data + pos));
+}
+
 }  // namespace
 
 // --- helpers bound to an open collection ---
@@ -79,7 +90,8 @@ HeaderRep* HeaderAt(const OsdContext& ctx, Oid oid) {
 }
 
 TableRep* TableAt(const OsdContext& ctx, const HeaderRep* hdr) {
-  return reinterpret_cast<TableRep*>(ctx.region->PtrAt(hdr->table_ptr));
+  return reinterpret_cast<TableRep*>(
+      ctx.region->PtrAt(ScmRegion::LoadU64(&hdr->table_ptr)));
 }
 
 BucketRep* BucketAt(const OsdContext& ctx, const TableRep* table,
@@ -222,9 +234,11 @@ void Collection::SetLinkCount(uint64_t n) {
   ctx_.region->PersistU64(&HeaderAt(ctx_, oid_)->link_count, n);
 }
 
-uint64_t Collection::size() const { return HeaderAt(ctx_, oid_)->live_count; }
+uint64_t Collection::size() const {
+  return ScmRegion::LoadU64(&HeaderAt(ctx_, oid_)->live_count);
+}
 uint64_t Collection::tombstones() const {
-  return HeaderAt(ctx_, oid_)->tomb_count;
+  return ScmRegion::LoadU64(&HeaderAt(ctx_, oid_)->tomb_count);
 }
 uint64_t Collection::nbuckets() const {
   return TableAt(ctx_, HeaderAt(ctx_, oid_))->nbuckets;
@@ -254,10 +268,9 @@ Result<Collection::EntryRef> Collection::FindLive(std::string_view key) const {
   const BucketRep* bucket = BucketAt(ctx_, table, index);
 
   uint64_t pos = 0;
-  const uint64_t committed = bucket->committed;
+  const uint64_t committed = PublishedCommitted(bucket);
   while (pos + 16 <= committed) {
-    uint64_t word0;
-    std::memcpy(&word0, bucket->data + pos, 8);
+    const uint64_t word0 = PublishedWord0(bucket, pos);
     const uint32_t key_len = EntryKeyLen(word0);
     const uint64_t entry_size = EntryBytes(key_len);
     if (pos + entry_size > committed) {
@@ -506,10 +519,9 @@ Status Collection::Scan(
   for (uint64_t b = 0; b < table->nbuckets; ++b) {
     const BucketRep* bucket = BucketAt(ctx_, table, b);
     uint64_t pos = 0;
-    const uint64_t committed = bucket->committed;
+    const uint64_t committed = PublishedCommitted(bucket);
     while (pos + 16 <= committed) {
-      uint64_t word0;
-      std::memcpy(&word0, bucket->data + pos, 8);
+      const uint64_t word0 = PublishedWord0(bucket, pos);
       const uint32_t key_len = EntryKeyLen(word0);
       const uint64_t entry_size = EntryBytes(key_len);
       if (pos + entry_size > committed) {
@@ -583,11 +595,11 @@ bool Collection::GrowthImminent() const {
   // bucket's worth of entries.
   const uint64_t grow_at = static_cast<uint64_t>(
       kMaxLoad * static_cast<double>(table->nbuckets));
-  if (hdr->live_count + kBucketsPerExtent >= grow_at) {
+  if (ScmRegion::LoadU64(&hdr->live_count) + kBucketsPerExtent >= grow_at) {
     return true;
   }
   const uint64_t capacity = table->nbuckets * (kBucketDataBytes / 32);
-  return hdr->tomb_count + kBucketsPerExtent >
+  return ScmRegion::LoadU64(&hdr->tomb_count) + kBucketsPerExtent >
          static_cast<uint64_t>(kTombCompactRatio *
                                static_cast<double>(capacity));
 }

@@ -208,47 +208,19 @@ Result<uint64_t> MFile::Read(uint64_t offset, std::span<char> out) const {
   return done;
 }
 
-Result<MFile::DirectExtentMap> MFile::SnapshotExtents(
-    uint64_t max_pages) const {
-  const MHeaderRep* hdr = HeaderAt(ctx_, oid_);
-  DirectExtentMap map;
-  map.size = ScmRegion::LoadU64(&hdr->size);
-  const uint64_t pages = (map.size + kScmPageSize - 1) / kScmPageSize;
-  if (pages > max_pages) {
-    return Status(ErrorCode::kNotSupported, "file too large for direct map");
-  }
-  map.pages.resize(pages, 0);
-  if (hdr->flags & kFlagSingleExtent) {
-    const uint64_t base = RootOffset(hdr->root);
-    for (uint64_t p = 0; p < pages; ++p) {
-      map.pages[p] = base + p * kScmPageSize;
-    }
-    return map;
-  }
-  // One tree walk fills every mapped page <= the snapshot's own size; pages
-  // beyond it stay holes (irrelevant: Read/WriteDirect are size-clamped).
-  (void)ForEachExtent([&](uint64_t page, uint64_t extent) {
-    if (page < pages) {
-      map.pages[page] = extent;
-    }
-    return true;
-  });
-  return map;
-}
-
 uint64_t MFile::ReadDirect(ScmRegion* region, const DirectExtentMap& map,
                            uint64_t offset, std::span<char> out) {
-  if (offset >= map.size) {
+  if (offset >= map.size()) {
     return 0;
   }
-  const uint64_t want = std::min<uint64_t>(out.size(), map.size - offset);
+  const uint64_t want = std::min<uint64_t>(out.size(), map.size() - offset);
   uint64_t done = 0;
   while (done < want) {
     const uint64_t pos = offset + done;
     const uint64_t page = pos / kScmPageSize;
     const uint64_t in_page = pos % kScmPageSize;
     const uint64_t chunk = std::min(want - done, kScmPageSize - in_page);
-    const uint64_t extent = map.pages[page];
+    const uint64_t extent = map.page(page);
     if (extent != 0) {
       std::memcpy(out.data() + done, region->PtrAt(extent) + in_page, chunk);
     } else {
@@ -266,13 +238,13 @@ Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
   if (data.empty()) {
     return OkStatus();
   }
-  if (offset + data.size() > map.size) {
+  if (offset + data.size() > map.size()) {
     return Status(ErrorCode::kNotFound, "extends file: not an overwrite");
   }
   const uint64_t first_page = offset / kScmPageSize;
   const uint64_t last_page = (offset + data.size() - 1) / kScmPageSize;
   for (uint64_t p = first_page; p <= last_page; ++p) {
-    if (map.pages[p] == 0) {
+    if (map.page(p) == 0) {
       return Status(ErrorCode::kNotFound, "hole");
     }
   }
@@ -283,7 +255,7 @@ Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
     const uint64_t in_page = pos % kScmPageSize;
     const uint64_t chunk =
         std::min<uint64_t>(data.size() - done, kScmPageSize - in_page);
-    region->StreamWrite(region->PtrAt(map.pages[page]) + in_page,
+    region->StreamWrite(region->PtrAt(map.page(page)) + in_page,
                         data.data() + done, chunk);
     done += chunk;
   }

@@ -69,23 +69,36 @@ class MFile {
   // A snapshot stays safe to use after the lock is released *only* under a
   // valid direct-access epoch from the clerk (extents are never reclaimed
   // while any client could still hold authority over them).
-  struct DirectExtentMap {
-    uint64_t size = 0;            // file size when snapped
-    std::vector<uint64_t> pages;  // pages[i] = region offset of page i
-  };
+  class DirectExtentMap {
+   public:
+    uint64_t size() const { return size_; }  // file size when snapped
+    // Region offset of page `i` (0 = hole); `i` is below size()'s pages.
+    uint64_t page(uint64_t i) const { return i == 0 ? first_ : rest_[i - 1]; }
+    // Sets the size; every page starts as a hole.
+    void Resize(uint64_t size) {
+      size_ = size;
+      first_ = 0;
+      const uint64_t pages = (size + kScmPageSize - 1) / kScmPageSize;
+      rest_.assign(pages > 1 ? pages - 1 : 0, 0);
+    }
+    void set_page(uint64_t i, uint64_t offset) {
+      (i == 0 ? first_ : rest_[i - 1]) = offset;
+    }
 
-  // Snapshots size + per-page extents. Fails kNotSupported when the file
-  // spans more than `max_pages` pages, so callers cache a bounded map and
-  // fall back to the locked path for huge files.
-  Result<DirectExtentMap> SnapshotExtents(uint64_t max_pages) const;
+   private:
+    uint64_t size_ = 0;
+    // Page 0 lives inline, so a one-page file's map needs no heap block.
+    uint64_t first_ = 0;
+    std::vector<uint64_t> rest_;
+  };
 
   // Copies out of the snapped extents without touching the mFile header
   // (no Open, no size load — the snapshot is the truth the lease froze).
-  // Holes read as zeros; returns bytes read, clamped to map.size.
+  // Holes read as zeros; returns bytes read, clamped to map.size().
   static uint64_t ReadDirect(ScmRegion* region, const DirectExtentMap& map,
                              uint64_t offset, std::span<char> out);
 
-  // In-place overwrite strictly within [0, map.size) over mapped pages;
+  // In-place overwrite strictly within [0, map.size()) over mapped pages;
   // kNotFound if any touched page is a hole (caller falls back to the
   // locked path, which allocates + logs an attach). Streams the bytes and,
   // when `flush` is set, drains write-combining buffers at the registered

@@ -12,54 +12,60 @@ namespace aerie {
 
 namespace {
 
-// Splits a path into components ("/a//b/" -> ["a", "b"]).
-Result<std::vector<std::string>> SplitPath(std::string_view path) {
+// The next component of `path` after *pos, as a slice of `path` ("" once
+// none is left); moves *pos past it. "/a//b/" yields "a", then "b".
+std::string_view NextComponent(std::string_view path, size_t* pos) {
+  size_t begin = *pos;
+  while (begin < path.size() && path[begin] == '/') {
+    begin++;
+  }
+  size_t end = begin;
+  while (end < path.size() && path[end] != '/') {
+    end++;
+  }
+  *pos = end;
+  return path.substr(begin, end - begin);
+}
+
+// The canonical absolute path of `path` below the canonical directory
+// `base` ("/" + "a//./b/" -> "/a/b"). '.' is dropped, '..' is rejected.
+Result<std::string> CanonicalPath(std::string_view base,
+                                  std::string_view path) {
   if (path.empty()) {
     return Status(ErrorCode::kInvalidArgument, "empty path");
   }
-  std::vector<std::string> parts;
+  std::string out;
+  out.reserve(base.size() + path.size() + 1);
+  out = base;
   size_t pos = 0;
-  while (pos < path.size()) {
-    while (pos < path.size() && path[pos] == '/') {
-      pos++;
+  for (std::string_view comp = NextComponent(path, &pos); !comp.empty();
+       comp = NextComponent(path, &pos)) {
+    if (comp == ".") {
+      continue;
     }
-    size_t end = pos;
-    while (end < path.size() && path[end] != '/') {
-      end++;
+    if (comp == "..") {
+      return Status(ErrorCode::kInvalidArgument,
+                    "'..' is not supported in PXFS paths");
     }
-    if (end > pos) {
-      std::string_view comp = path.substr(pos, end - pos);
-      if (comp == "." ) {
-        // skip
-      } else if (comp == "..") {
-        return Status(ErrorCode::kInvalidArgument,
-                      "'..' is not supported in PXFS paths");
-      } else {
-        parts.emplace_back(comp);
-      }
+    if (out.back() != '/') {
+      out += '/';
     }
-    pos = end;
+    out += comp;
   }
-  return parts;
-}
-
-// Canonical absolute path of `parts` below the canonical directory `base`.
-std::string CanonicalPath(std::string base,
-                          const std::vector<std::string>& parts) {
-  for (const std::string& part : parts) {
-    if (base.back() != '/') {
-      base += '/';
-    }
-    base += part;
-  }
-  return base;
+  return out;
 }
 
 }  // namespace
 
 Pxfs::Pxfs(LibFs* fs, const Options& options)
-    : fs_(fs), options_(options), ctx_(fs->read_context()) {
-  obs_registration_.AddAll(cache_hits_, cache_misses_);
+    : fs_(fs),
+      options_(options),
+      ctx_(fs->read_context()),
+      snapshots_(options.name_cache_max),
+      name_cache_(options.name_cache_max) {
+  obs_registration_.AddAll(cache_hits_, cache_misses_, cache_ancestor_hits_,
+                           cache_evictions_, snapshot_builds_,
+                           snapshot_evictions_);
   // Whenever a global lock leaves this client (paper §6.1):
   //   * if it covered a file this client holds open, tell the TFS the file
   //     is open so unlink-reclaim is deferred ("clients with the file open
@@ -92,12 +98,12 @@ void Pxfs::Forget(std::optional<Oid> oid) {
   std::unique_lock lock(state_mu_);
   if (!oid) {
     shadows_.clear();
-    snapshots_.clear();
+    snapshots_.Clear();
     overlay_.clear();
     return;
   }
   shadows_.erase(oid->raw());
-  snapshots_.erase(oid->raw());
+  snapshots_.Erase(oid->raw());
   overlay_.erase(oid->raw());
 }
 
@@ -112,10 +118,24 @@ void Pxfs::FlushNameCache() {
   AERIE_SPAN("namecache", "flush");
   std::lock_guard lock(cache_mu_);
   obs::TraceInstant("namecache.flush.entries", name_cache_.size());
-  name_cache_.clear();
+  name_cache_.Clear();
 }
 
-Result<Oid> Pxfs::DirLookup(Oid dir, const std::string& name) {
+size_t Pxfs::name_cache_size() {
+  std::lock_guard lock(cache_mu_);
+  return name_cache_.size();
+}
+
+size_t Pxfs::overlay_removals() const {
+  std::shared_lock lock(state_mu_);
+  size_t n = 0;
+  for (const auto& [raw, ov] : overlay_) {
+    n += ov.removed.size();
+  }
+  return n;
+}
+
+Result<Oid> Pxfs::DirLookup(Oid dir, std::string_view name) {
   {
     std::shared_lock lock(state_mu_);
     auto it = overlay_.find(dir.raw());
@@ -137,18 +157,38 @@ Result<Oid> Pxfs::DirLookup(Oid dir, const std::string& name) {
   return Oid(*value);
 }
 
-void Pxfs::OverlayAdd(Oid dir, const std::string& name, Oid oid) {
+void Pxfs::OverlayAdd(Oid dir, std::string_view name, Oid oid) {
   std::unique_lock lock(state_mu_);
   DirOverlay& ov = overlay_[dir.raw()];
-  ov.added[name] = oid.raw();
-  ov.removed.erase(name);
+  auto added = ov.added.find(name);
+  if (added != ov.added.end()) {
+    added->second = oid.raw();
+  } else {
+    ov.added.emplace(name, oid.raw());
+  }
+  auto removed = ov.removed.find(name);
+  if (removed != ov.removed.end()) {
+    ov.removed.erase(removed);
+  }
 }
 
-void Pxfs::OverlayRemove(Oid dir, const std::string& name) {
+void Pxfs::OverlayRemove(Oid dir, std::string_view name) {
+  // Read after the caller's LogOp, so `seq` covers the removing op.
+  const uint64_t seq = fs_->logged_seq();
+  const uint64_t shipped = fs_->shipped_seq();
   std::unique_lock lock(state_mu_);
   DirOverlay& ov = overlay_[dir.raw()];
-  ov.added.erase(name);
-  ov.removed.insert(name);
+  auto added = ov.added.find(name);
+  if (added != ov.added.end()) {
+    ov.added.erase(added);
+  }
+  if (ov.newest_removal <= shipped) {
+    // Every earlier removal has reached the TFS: the collection in SCM now
+    // answers for those names.
+    ov.removed.clear();
+  }
+  ov.removed.emplace(name);
+  ov.newest_removal = seq;
 }
 
 const Pxfs::FileShadow* Pxfs::FindShadow(Oid file) const {
@@ -192,90 +232,109 @@ Result<Pxfs::Resolved> Pxfs::Resolve(std::string_view path, bool fill_cache) {
   // cache entirely (paper §6.1).
   const bool relative = !path.empty() && path[0] != '/';
   Oid start = fs_->pxfs_root();
-  std::vector<LockId> start_ancestors;
+  std::vector<LockId> ancestors;
   std::string start_path = "/";
   if (relative) {
     std::lock_guard lock(cwd_mu_);
     if (!cwd_oid_.IsNull()) {
       start = cwd_oid_;
-      start_ancestors = cwd_ancestors_;
+      ancestors = cwd_ancestors_;
       start_path = cwd_path_;
     }
   }
-  AERIE_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
   Resolved out;
-  out.path = CanonicalPath(std::move(start_path), parts);
-  if (parts.empty()) {
+  AERIE_ASSIGN_OR_RETURN(out.path, CanonicalPath(start_path, path));
+  if (out.path.size() == start_path.size()) {
     out.parent = start;
     out.target = start;
     out.leaf = "";
-    out.ancestors = start_ancestors;
+    out.ancestors = std::move(ancestors);
     return out;
   }
+  // Components are slices of the canonical key. `pos` is the '/' in front
+  // of the next component to walk; `slash` is the one in front of the leaf.
+  const std::string_view key = out.path;
+  const size_t slash = key.rfind('/');
+  size_t pos = start_path.size() == 1 ? 0 : start_path.size();
+  out.leaf = key.substr(slash + 1);
+  const bool cached = options_.name_cache && !relative;
+  const bool fill = cached && fill_cache;
 
-  if (options_.name_cache && !relative) {
+  Oid cur = start;
+  if (cached) {
     AERIE_SPAN("namecache", "lookup");
     std::lock_guard lock(cache_mu_);
-    auto it = name_cache_.find(out.path);
-    if (it != name_cache_.end()) {
+    if (const CacheEntry* hit = name_cache_.Find(key)) {
       cache_hits_.Add(1);
-      out.parent = Oid(it->second.parent_raw);
-      out.target = Oid(it->second.target_raw);
-      out.leaf = parts.back();
-      out.ancestors = it->second.ancestors;
+      out.parent = Oid(hit->parent_raw);
+      out.target = Oid(hit->target_raw);
+      out.ancestors = hit->ancestors;
       return out;
     }
     cache_misses_.Add(1);
+    // Resume from the deepest cached directory on the path: probe the
+    // parent prefixes from the leaf upward.
+    for (size_t end = slash; end > 0; end = key.rfind('/', end - 1)) {
+      const CacheEntry* dir = name_cache_.Find(key.substr(0, end));
+      if (dir == nullptr) {
+        continue;
+      }
+      cache_ancestor_hits_.Add(1);
+      const Oid oid(dir->target_raw);
+      if (oid.type() != ObjType::kCollection) {
+        const size_t begin = key.rfind('/', end - 1) + 1;
+        return Status(ErrorCode::kNotDirectory,
+                      std::string(key.substr(begin, end - begin)));
+      }
+      cur = oid;
+      ancestors = dir->ancestors;
+      ancestors.push_back(Oid(dir->parent_raw).lock_id());
+      pos = end;
+      break;
+    }
   }
 
-  // Walk from the start directory, taking a read lock on each directory
-  // while its collection is consulted (paper §6.1 "Naming").
-  Oid cur = start;
-  std::vector<LockId> ancestors = start_ancestors;
-  std::string prefix = "";
+  // Walk the rest, taking a read lock on each directory while its
+  // collection is consulted (paper §6.1 "Naming").
   LockClerk* clerk = fs_->clerk();
-  for (size_t i = 0; i + 1 < parts.size(); ++i) {
+  while (pos < slash) {
+    const std::string_view name = NextComponent(key, &pos);
     AERIE_RETURN_IF_ERROR(
         clerk->Acquire(cur.lock_id(), LockMode::kShared, ancestors));
-    auto child = DirLookup(cur, parts[i]);
+    auto child = DirLookup(cur, name);
     clerk->Release(cur.lock_id());
     if (!child.ok()) {
       return child.status();
     }
     if (child->type() != ObjType::kCollection) {
-      return Status(ErrorCode::kNotDirectory, parts[i]);
+      return Status(ErrorCode::kNotDirectory, std::string(name));
     }
-    ancestors.push_back(cur.lock_id());
-    prefix += "/" + parts[i];
-    if (options_.name_cache && fill_cache && !relative) {
+    if (fill) {
+      // Entry for each resolved prefix (created on demand, §6.1). A present
+      // entry is kept: it is as current as this walk.
       AERIE_SPAN("namecache", "insert");
       std::lock_guard lock(cache_mu_);
-      // Entry for each resolved prefix (created on demand, §6.1).
-      name_cache_[prefix] =
-          CacheEntry{child->raw(), cur.raw(),
-                     std::vector<LockId>(ancestors.begin(),
-                                         ancestors.end() - 1)};
+      cache_evictions_.Add(name_cache_.Emplace(
+          std::string(key.substr(0, pos)), child->raw(), cur.raw(),
+          ancestors));
     }
+    ancestors.push_back(cur.lock_id());
     cur = *child;
   }
 
   out.parent = cur;
-  out.leaf = parts.back();
-  out.ancestors = ancestors;
+  out.ancestors = std::move(ancestors);
   AERIE_RETURN_IF_ERROR(
-      clerk->Acquire(cur.lock_id(), LockMode::kShared, ancestors));
+      clerk->Acquire(cur.lock_id(), LockMode::kShared, out.ancestors));
   auto target = DirLookup(cur, out.leaf);
   clerk->Release(cur.lock_id());
   if (target.ok()) {
     out.target = *target;
-    if (options_.name_cache && fill_cache && !relative) {
+    if (fill) {
       AERIE_SPAN("namecache", "insert");
       std::lock_guard lock(cache_mu_);
-      if (name_cache_.size() >= options_.name_cache_max) {
-        name_cache_.clear();  // cheap wholesale eviction
-      }
-      name_cache_[out.path] =
-          CacheEntry{out.target.raw(), out.parent.raw(), out.ancestors};
+      cache_evictions_.Add(name_cache_.Emplace(
+          out.path, out.target.raw(), out.parent.raw(), out.ancestors));
     }
   }
   return out;
@@ -418,8 +477,8 @@ Status Pxfs::SetFdOffset(int fd, uint64_t offset) {
 std::shared_ptr<const Pxfs::DirectSnapshot> Pxfs::CachedSnapshot(
     Oid file) const {
   std::shared_lock lock(state_mu_);
-  auto it = snapshots_.find(file.raw());
-  return it == snapshots_.end() ? nullptr : it->second;
+  const auto* snap = snapshots_.Find(file.raw());
+  return snap == nullptr ? nullptr : *snap;
 }
 
 bool Pxfs::TryDirectRead(Oid file, uint64_t offset, std::span<char> out,
@@ -453,7 +512,7 @@ bool Pxfs::TryDirectWrite(Oid file, uint64_t offset,
   }
   // Cheap pre-checks outside the pin: an extending write or a hole is an
   // allocation — metadata — and belongs to the locked path.
-  if (offset + data.size() > snap->map.size) {
+  if (offset + data.size() > snap->map.size()) {
     return false;
   }
   LockClerk* clerk = fs_->clerk();
@@ -496,22 +555,20 @@ void Pxfs::RefreshDirectMap(Oid file, LockMode mode) {
     // Resolved exactly as ReadAt resolves each page.
     std::shared_lock lock(state_mu_);
     const FileShadow* shadow = FindShadow(file);
-    snap.map.size = SizeOf(shadow, *mfile);
-    const uint64_t pages = (snap.map.size + kScmPageSize - 1) / kScmPageSize;
+    const uint64_t size = SizeOf(shadow, *mfile);
+    const uint64_t pages = (size + kScmPageSize - 1) / kScmPageSize;
     if (pages > kDirectMaxPages) {
       return;  // unbounded map: such files stay on the locked path
     }
-    snap.map.pages.resize(pages);
+    snap.map.Resize(size);
     for (uint64_t page = 0; page < pages; ++page) {
-      snap.map.pages[page] = ResolvePage(shadow, *mfile, page);
+      snap.map.set_page(page, ResolvePage(shadow, *mfile, page));
     }
   }
+  auto entry = std::make_shared<const DirectSnapshot>(std::move(snap));
   std::unique_lock lock(state_mu_);
-  if (snapshots_.size() >= kDirectCacheMax) {
-    snapshots_.clear();
-  }
-  snapshots_[file.raw()] =
-      std::make_shared<const DirectSnapshot>(std::move(snap));
+  snapshot_builds_.Add(1);
+  snapshot_evictions_.Add(snapshots_.Put(file.raw(), std::move(entry)));
 }
 
 void Pxfs::MaybeRefreshDirect(Oid file, bool writable) {
@@ -668,7 +725,7 @@ Result<uint64_t> Pxfs::WriteAt(Oid file, uint64_t offset,
       // Structural change: the cached snapshot no longer matches (new
       // pages attached and/or a new size).
       *structural = true;
-      snapshots_.erase(file.raw());
+      snapshots_.Erase(file.raw());
     }
   }
   if (options_.flush_data_on_write) {
@@ -783,7 +840,7 @@ Status Pxfs::TruncateHeld(Oid file, uint64_t size) {
   shadow.mfile_floor = std::min(shadow.mfile_floor, keep);
   shadow.extents.erase(shadow.extents.lower_bound(keep),
                        shadow.extents.end());
-  snapshots_.erase(file.raw());
+  snapshots_.Erase(file.raw());
   // POSIX zero-fill: the boundary page's tail must not resurface if the
   // file is extended later. The server's apply does the same for the
   // persistent mapping; this covers the client's pending-extent view.
@@ -930,7 +987,7 @@ Status Pxfs::Unlink(std::string_view path) {
   clerk->Release(r.parent.lock_id());
   if (st.ok()) {
     std::lock_guard lock(cache_mu_);
-    name_cache_.erase(r.path);
+    name_cache_.Erase(r.path);
   }
   return st;
 }
@@ -1046,8 +1103,8 @@ Status Pxfs::Rename(std::string_view from, std::string_view to) {
       FlushNameCache();  // all descendant paths moved
     } else {
       std::lock_guard lock(cache_mu_);
-      name_cache_.erase(src.path);
-      name_cache_.erase(dst.path);
+      name_cache_.Erase(src.path);
+      name_cache_.Erase(dst.path);
     }
   }
   return st;

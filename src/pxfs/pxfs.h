@@ -9,7 +9,8 @@
 //   * path resolution reads directory collections straight from SCM under
 //     clerk-granted read locks; an optional per-client absolute-path name
 //     cache short-circuits the walk (§6.1 "Caching"; the PXFS-NNC
-//     configuration disables it);
+//     configuration disables it). A miss resumes from the deepest cached
+//     directory on the path, and a full cache evicts one entry at a time;
 //   * creates/writes take objects and extents from libFS pools, write data
 //     directly, and log metadata ops into the batch;
 //   * all volatile per-file client state lives here, keyed by oid under
@@ -44,6 +45,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/bounded_map.h"
+#include "src/common/hash.h"
 #include "src/common/open_flags.h"
 #include "src/common/status.h"
 #include "src/libfs/client.h"
@@ -72,6 +75,8 @@ class Pxfs {
   struct Options {
     // Per-client absolute-path name cache (PXFS vs PXFS-NNC, §7.3.1).
     bool name_cache = true;
+    // Entry bound of the name cache. The direct-path snapshot cache has the
+    // same bound, so a file whose name is cached can keep its snapshot.
     size_t name_cache_max = 1 << 16;
     // Persist data at every write (vs only at fsync).
     bool flush_data_on_write = true;
@@ -138,7 +143,13 @@ class Pxfs {
   // --- Introspection (tests / benches) ---
   uint64_t name_cache_hits() const { return cache_hits_.value(); }
   uint64_t name_cache_misses() const { return cache_misses_.value(); }
+  uint64_t name_cache_ancestor_hits() const {
+    return cache_ancestor_hits_.value();
+  }
   void FlushNameCache();
+  size_t name_cache_size();
+  // Names this client's directory overlays hold as removed.
+  size_t overlay_removals() const;
 
  private:
   // A file's extent map (persistent mapping folded with this client's
@@ -160,9 +171,13 @@ class Pxfs {
     // not trust it (only shadow extents are valid there).
     uint64_t mfile_floor = ~0ull;
   };
+  // Pending namespace updates of one directory. A removal only matters
+  // until the op that made it ships: the collection then says the same.
   struct DirOverlay {
-    std::unordered_map<std::string, uint64_t> added;  // name -> oid raw
-    std::set<std::string> removed;
+    std::unordered_map<std::string, uint64_t, StringViewHash, std::equal_to<>>
+        added;  // name -> oid raw
+    std::set<std::string, std::less<>> removed;
+    uint64_t newest_removal = 0;  // LibFs op sequence of the latest removal
   };
   struct FdEntry {
     Oid oid;
@@ -189,11 +204,11 @@ class Pxfs {
   Result<Resolved> Resolve(std::string_view path, bool fill_cache);
 
   // Directory lookup through the overlay, then SCM.
-  Result<Oid> DirLookup(Oid dir, const std::string& name);
+  Result<Oid> DirLookup(Oid dir, std::string_view name);
 
   // Overlay bookkeeping (call *after* LogOp; see implementation note).
-  void OverlayAdd(Oid dir, const std::string& name, Oid oid);
-  void OverlayRemove(Oid dir, const std::string& name);
+  void OverlayAdd(Oid dir, std::string_view name, Oid oid);
+  void OverlayRemove(Oid dir, std::string_view name);
 
   // Drops everything keyed by `oid` (shadow, direct snapshot, directory
   // overlay), or by every oid when `oid` is empty. Runs when a pooled oid
@@ -244,9 +259,6 @@ class Pxfs {
   // --- Direct data path (DESIGN.md §10) ---
   // Upper bound on cacheable file size: one map entry per 4KB page.
   static constexpr uint64_t kDirectMaxPages = 1 << 16;  // 256MB
-  // Snapshot-cache cap: reaching it drops every snapshot (rebuilt on demand
-  // by slow paths) but no shadow state.
-  static constexpr size_t kDirectCacheMax = 4096;
 
   bool DirectUsable() const {
     return options_.direct_data && !options_.enforce_memory_protection &&
@@ -288,8 +300,9 @@ class Pxfs {
   // (Forget). Direct-path lookups take the lock shared.
   mutable std::shared_mutex state_mu_;
   std::unordered_map<uint64_t, FileShadow> shadows_;
-  std::unordered_map<uint64_t, std::shared_ptr<const DirectSnapshot>>
-      snapshots_;  // dropped on any structural change to the file
+  // Dropped on any structural change to the file; evicted one at a time
+  // when full (rebuilt on demand by the locked path).
+  BoundedMap<uint64_t, std::shared_ptr<const DirectSnapshot>> snapshots_;
   std::unordered_map<uint64_t, DirOverlay> overlay_;
 
   mutable std::mutex cwd_mu_;
@@ -298,10 +311,16 @@ class Pxfs {
   std::string cwd_path_ = "/";        // canonical absolute path
 
   std::mutex cache_mu_;
-  std::unordered_map<std::string, CacheEntry> name_cache_;
-  // Name-cache statistics live in the obs registry for this Pxfs's lifetime.
+  BoundedMap<std::string, CacheEntry, StringViewHash, std::equal_to<>>
+      name_cache_;
+  // Cache statistics live in the obs registry for this Pxfs's lifetime.
   obs::Counter cache_hits_{"pxfs.name_cache.hit"};
   obs::Counter cache_misses_{"pxfs.name_cache.miss"};
+  // Misses that resumed the walk from a cached directory on the path.
+  obs::Counter cache_ancestor_hits_{"pxfs.name_cache.ancestor_hit"};
+  obs::Counter cache_evictions_{"pxfs.name_cache.evict"};
+  obs::Counter snapshot_builds_{"pxfs.direct.snapshot_build"};
+  obs::Counter snapshot_evictions_{"pxfs.direct.snapshot_evict"};
   obs::ScopedRegistration obs_registration_;
 };
 

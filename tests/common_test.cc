@@ -1,8 +1,11 @@
-// Unit tests for src/common: Status/Result, hashing, RNG, histogram.
+// Unit tests for src/common: Status/Result, hashing, RNG, histogram, the
+// bounded map.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "src/common/bounded_map.h"
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
 #include "src/common/rand.h"
@@ -80,6 +83,58 @@ TEST(HashTest, Mix64IsBijectiveish) {
     seen.insert(Mix64(i));
   }
   EXPECT_EQ(seen.size(), 10000u);
+}
+
+TEST(BoundedMapTest, NeverExceedsItsBoundAndKeepsTheNewest) {
+  BoundedMap<uint64_t, uint64_t> map(8);
+  size_t evicted = 0;
+  for (uint64_t k = 0; k < 100; ++k) {
+    evicted += map.Emplace(k, k * 10);
+    EXPECT_LE(map.size(), 8u);
+  }
+  EXPECT_EQ(evicted, 92u);
+  // One entry at a time, and never frozen on the first contents.
+  ASSERT_NE(map.Find(uint64_t{99}), nullptr);
+  EXPECT_EQ(*map.Find(uint64_t{99}), 990u);
+  EXPECT_EQ(map.Find(uint64_t{0}), nullptr);
+}
+
+TEST(BoundedMapTest, ReferencedEntriesSurviveASweep) {
+  BoundedMap<uint64_t, int> map(4);
+  for (uint64_t k = 0; k < 4; ++k) {
+    map.Emplace(k, 0);
+  }
+  // A hot entry stays through any number of cold inserts.
+  for (uint64_t k = 100; k < 200; ++k) {
+    ASSERT_NE(map.Find(uint64_t{2}), nullptr) << "evicted before key " << k;
+    EXPECT_EQ(map.Emplace(k, 0), 1u);
+  }
+  EXPECT_EQ(map.size(), 4u);
+}
+
+TEST(BoundedMapTest, EmplaceKeepsPutReplacesEraseAndClear) {
+  BoundedMap<std::string, int, StringViewHash, std::equal_to<>> map(2);
+  EXPECT_EQ(map.Emplace("a", 1), 0u);
+  EXPECT_EQ(map.Emplace("a", 2), 0u);
+  EXPECT_EQ(*map.Find(std::string_view("a")), 1);
+  EXPECT_EQ(map.Put("a", 3), 0u);
+  EXPECT_EQ(*map.Find(std::string_view("a")), 3);
+  // Full: re-emplacing a present key evicts nothing.
+  map.Emplace("b", 4);
+  EXPECT_EQ(map.Emplace("b", 5), 0u);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_TRUE(map.Erase(std::string_view("a")));
+  EXPECT_FALSE(map.Erase(std::string_view("a")));
+  EXPECT_EQ(map.Find(std::string_view("a")), nullptr);
+  EXPECT_EQ(*map.Find(std::string_view("b")), 4);
+  // The freed slot is reused without eviction.
+  EXPECT_EQ(map.Emplace("c", 6), 0u);
+  EXPECT_EQ(map.Emplace("d", 7), 1u);
+  EXPECT_EQ(map.size(), 2u);
+  map.Clear();
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.Find(std::string_view("b")), nullptr);
+  EXPECT_EQ(map.Emplace("e", 8), 0u);
 }
 
 TEST(RngTest, DeterministicPerSeed) {

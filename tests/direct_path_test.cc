@@ -309,6 +309,50 @@ TEST_F(DirectPathTest, FlatFsGetsGoDirectAndStayCoherent) {
   EXPECT_EQ(flat.Get("k").status().code(), ErrorCode::kNotFound);
 }
 
+TEST_F(DirectPathTest, DirectReadsOutlastTheSnapshotBound) {
+  // The snapshot cache has the name cache's bound: 64 here, for 100 files.
+  Pxfs::Options options;
+  options.name_cache_max = 64;
+  Pxfs fs(libfs(), options);
+  auto path = [](int i) { return "/d/s" + std::to_string(i); };
+  const std::string data(kPage, 's');
+  std::vector<int> fds;
+  for (int i = 0; i < 100; ++i) {
+    auto fd = fs.Open(path(i), kOpenCreate | kOpenWrite | kOpenRead);
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    ASSERT_TRUE(fs.Write(*fd, Bytes(data)).ok());
+    fds.push_back(*fd);
+  }
+  std::string buf(kPage, '\0');
+  auto read = [&](int i) {
+    auto n = fs.Pread(fds[i], 0, std::span<char>(buf.data(), buf.size()));
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(*n, kPage);
+    ASSERT_EQ(buf, data);
+  };
+  for (int i = 0; i < 100; ++i) {
+    read(i);  // builds a snapshot per file: 36 more than the bound
+  }
+  // Eight hot files among a stream of cold ones: once warm, every hot read
+  // is direct although each round evicts snapshots.
+  for (int round = 0; round < 30; ++round) {
+    const uint64_t before = libfs()->direct_read_bytes();
+    for (int i = 0; i < 8; ++i) {
+      read(i);
+    }
+    if (round > 0) {
+      EXPECT_EQ(libfs()->direct_read_bytes(), before + 8 * kPage)
+          << "round " << round;
+    }
+    for (int k = 0; k < 4; ++k) {
+      read(8 + (round * 4 + k) % 92);
+    }
+  }
+  for (int fd : fds) {
+    ASSERT_TRUE(fs.Close(fd).ok());
+  }
+}
+
 // --- Crash simulation -----------------------------------------------------
 
 constexpr uint64_t kCrashRegionBytes = 8ull << 20;

@@ -211,4 +211,83 @@ TEST_F(FlatFsTest, PxfsSeesFlatNamespaceAsCollection) {
 }
 
 }  // namespace
+
+// Test access to FlatFs internals.
+class FlatFsTestPeer {
+ public:
+  // Replaces the value cache with an empty one holding at most `n` values.
+  static void ShrinkValueCache(FlatFs& fs, size_t n) {
+    std::unique_lock lock(fs.direct_mu_);
+    fs.direct_values_ = decltype(fs.direct_values_)(n);
+  }
+  static size_t CachedValues(FlatFs& fs) {
+    std::shared_lock lock(fs.direct_mu_);
+    return fs.direct_values_.size();
+  }
+};
+
+namespace {
+
+TEST_F(FlatFsTest, ValueCacheKeepsServingPastItsBound) {
+  FlatFsTestPeer::ShrinkValueCache(*flat_, 8);
+  LibFs* fs = client_->fs();
+  auto key = [](int i) { return "v" + std::to_string(i); };
+  auto value = [](int i) { return std::string(100 + i, 'a' + i % 26); };
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(flat_->Put(key(i), Bytes(value(i))).ok());
+    ASSERT_LE(FlatFsTestPeer::CachedValues(*flat_), 8u);
+  }
+  // Four hot keys among a stream of cold ones: once warm, every hot get is
+  // direct although each round evicts.
+  for (int round = 0; round < 30; ++round) {
+    const uint64_t before = fs->direct_read_bytes();
+    uint64_t hot_bytes = 0;
+    for (int i = 0; i < 4; ++i) {
+      auto got = flat_->Get(key(i));
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(*got, value(i));
+      hot_bytes += got->size();
+    }
+    if (round > 0) {
+      EXPECT_EQ(fs->direct_read_bytes(), before + hot_bytes)
+          << "round " << round;
+    }
+    for (int k = 0; k < 3; ++k) {
+      const int i = 4 + (round * 3 + k) % 36;
+      auto got = flat_->Get(key(i));
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(*got, value(i));
+    }
+    ASSERT_LE(FlatFsTestPeer::CachedValues(*flat_), 8u);
+  }
+}
+
+TEST_F(FlatFsTest, ConcurrentGetsEvictWithoutLosingValues) {
+  FlatFsTestPeer::ShrinkValueCache(*flat_, 8);
+  auto key = [](int i) { return "c" + std::to_string(i); };
+  for (int i = 0; i < 32; ++i) {
+    const std::string v(64, 'a' + i % 26);
+    ASSERT_TRUE(flat_->Put(key(i), Bytes(v)).ok());
+  }
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int n = 0; n < 500; ++n) {
+        const int i = (n * 7 + t * 5) % 32;
+        auto got = flat_->Get(key(i));
+        if (!got.ok() || *got != std::string(64, 'a' + i % 26)) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_LE(FlatFsTestPeer::CachedValues(*flat_), 8u);
+}
+
+}  // namespace
 }  // namespace aerie

@@ -2,6 +2,7 @@
 // fds, name cache behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -461,6 +462,150 @@ TEST_F(PxfsTest, UnlinkAndRenameDropCanonicalNameCacheEntries) {
   ASSERT_TRUE(pxfs_->Rename("/d//g", "/d/h").ok());
   EXPECT_EQ(pxfs_->Stat("/d/g").code(), ErrorCode::kNotFound);
   EXPECT_TRUE(pxfs_->Stat("/d/h").ok());
+}
+
+TEST_F(PxfsTest, NameCacheStaysBoundedAndKeepsHitting) {
+  Pxfs::Options options;
+  options.name_cache_max = 64;
+  Pxfs fs(client_->fs(), options);
+  ASSERT_TRUE(fs.Mkdir("/w").ok());
+  auto path = [](int i) { return "/w/f" + std::to_string(i); };
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(fs.Create(path(i)).ok());
+  }
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(fs.Stat(path(i)).ok());
+    ASSERT_LE(fs.name_cache_size(), 64u);
+  }
+  // Ten hot files among a stream of cold ones: once warm, every hot lookup
+  // hits even though each round evicts (a clear-at-cap cache would drop
+  // the hot entries whenever it filled).
+  for (int round = 0; round < 40; ++round) {
+    const uint64_t hits = fs.name_cache_hits();
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(fs.Stat(path(i)).ok());
+    }
+    if (round > 0) {
+      EXPECT_EQ(fs.name_cache_hits(), hits + 10) << "round " << round;
+    }
+    for (int k = 0; k < 5; ++k) {
+      ASSERT_TRUE(fs.Stat(path(10 + (round * 5 + k) % 90)).ok());
+      ASSERT_LE(fs.name_cache_size(), 64u);
+    }
+  }
+}
+
+TEST_F(PxfsTest, ColdLeafUnderCachedDirectoryTakesOneGrant) {
+  ASSERT_TRUE(pxfs_->Mkdir("/a").ok());
+  ASSERT_TRUE(pxfs_->Mkdir("/a/b").ok());
+  ASSERT_TRUE(pxfs_->Mkdir("/a/b/c").ok());
+  ASSERT_TRUE(pxfs_->Mkdir("/a/b/c/d").ok());
+  WriteFile("/a/b/c/d/x", "x");
+  WriteFile("/a/b/c/d/y", "y");
+  ASSERT_TRUE(pxfs_->Stat("/a/b/c/d/x").ok());  // caches /a .. /a/b/c/d
+  LockClerk* clerk = client_->fs()->clerk();
+  auto grants = [clerk] {
+    return clerk->local_grants() + clerk->global_acquires();
+  };
+  const uint64_t ancestor_hits = pxfs_->name_cache_ancestor_hits();
+
+  // A missing leaf: one read lock on /a/b/c/d, none on the four above it.
+  uint64_t before = grants();
+  EXPECT_EQ(pxfs_->Stat("/a/b/c/d/none").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(grants() - before, 1u);
+
+  // An uncached leaf: the directory's read lock plus the file's own.
+  before = grants();
+  ASSERT_TRUE(pxfs_->Stat("/a/b/c/d/y").ok());
+  EXPECT_EQ(grants() - before, 2u);
+  EXPECT_EQ(pxfs_->name_cache_ancestor_hits(), ancestor_hits + 2);
+}
+
+TEST_F(PxfsTest, CachedAncestorNeverOutlivesRenameOrRmdir) {
+  ASSERT_TRUE(pxfs_->Mkdir("/a").ok());
+  ASSERT_TRUE(pxfs_->Mkdir("/a/b").ok());
+  WriteFile("/a/b/f", "f");
+  ASSERT_TRUE(pxfs_->Stat("/a/b/f").ok());  // caches /a, /a/b, /a/b/f
+  ASSERT_TRUE(pxfs_->Rename("/a", "/c").ok());
+  EXPECT_EQ(pxfs_->Stat("/a/b/f").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(pxfs_->Stat("/a/b/g").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(ReadAll("/c/b/f"), "f");
+
+  // rmdir + mkdir of the same name: lookups below it use the new directory.
+  ASSERT_TRUE(pxfs_->Mkdir("/r").ok());
+  WriteFile("/r/f", "old");
+  ASSERT_TRUE(pxfs_->Stat("/r/f").ok());  // caches /r
+  auto old_dir = pxfs_->Stat("/r");
+  ASSERT_TRUE(old_dir.ok());
+  ASSERT_TRUE(pxfs_->Unlink("/r/f").ok());
+  ASSERT_TRUE(pxfs_->Rmdir("/r").ok());
+  ASSERT_TRUE(pxfs_->Mkdir("/r").ok());
+  auto new_dir = pxfs_->Stat("/r");
+  ASSERT_TRUE(new_dir.ok());
+  EXPECT_NE(new_dir->oid, old_dir->oid);
+  EXPECT_EQ(pxfs_->Stat("/r/f").code(), ErrorCode::kNotFound);
+  WriteFile("/r/g", "new");
+  auto entries = pxfs_->ReadDir("/r");
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries->size(), 1u);
+  EXPECT_EQ((*entries)[0].name, "g");
+  EXPECT_EQ(ReadAll("/r/g"), "new");
+}
+
+TEST_F(PxfsTest, CachedFileAsAncestorIsNotADirectory) {
+  ASSERT_TRUE(pxfs_->Mkdir("/nd").ok());
+  WriteFile("/nd/file", "x");
+  ASSERT_TRUE(pxfs_->Stat("/nd/file").ok());  // cached
+  const uint64_t ancestor_hits = pxfs_->name_cache_ancestor_hits();
+  EXPECT_EQ(pxfs_->Stat("/nd/file/below").code(), ErrorCode::kNotDirectory);
+  EXPECT_EQ(pxfs_->Open("/nd/file/x/y", kOpenRead).code(),
+            ErrorCode::kNotDirectory);
+  EXPECT_EQ(pxfs_->name_cache_ancestor_hits(), ancestor_hits + 2);
+}
+
+TEST_F(PxfsTest, RelativePathsSkipTheAncestorProbe) {
+  ASSERT_TRUE(pxfs_->Mkdir("/rp").ok());
+  ASSERT_TRUE(pxfs_->Mkdir("/rp/sub").ok());
+  WriteFile("/rp/sub/f", "x");
+  ASSERT_TRUE(pxfs_->Stat("/rp/sub/f").ok());  // caches /rp and /rp/sub
+  ASSERT_TRUE(pxfs_->SetCwd("/rp").ok());
+  const uint64_t hits = pxfs_->name_cache_hits();
+  const uint64_t misses = pxfs_->name_cache_misses();
+  const uint64_t ancestor_hits = pxfs_->name_cache_ancestor_hits();
+  ASSERT_TRUE(pxfs_->Stat("sub/f").ok());
+  EXPECT_EQ(pxfs_->Stat("sub/missing").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(pxfs_->name_cache_hits(), hits);
+  EXPECT_EQ(pxfs_->name_cache_misses(), misses);
+  EXPECT_EQ(pxfs_->name_cache_ancestor_hits(), ancestor_hits);
+}
+
+TEST_F(PxfsTest, ShippedRemovalsLeaveTheOverlay) {
+  // No background flusher: batches ship only at SyncAll.
+  LibFs::Options sync_only;
+  sync_only.flush_interval_ms = 0;
+  auto client = sys_->NewClient(sync_only);
+  ASSERT_TRUE(client.ok());
+  Pxfs fs((*client)->fs());
+  ASSERT_TRUE(fs.Mkdir("/churn").ok());
+  size_t peak = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string path = "/churn/m" + std::to_string(i);
+    ASSERT_TRUE(fs.Create(path).ok());
+    ASSERT_TRUE(fs.Unlink(path).ok());
+    // An unshipped removal still reads as not-found.
+    EXPECT_EQ(fs.Stat(path).code(), ErrorCode::kNotFound);
+    if (i % 50 == 49) {
+      ASSERT_TRUE(fs.SyncAll().ok());
+    }
+    peak = std::max(peak, fs.overlay_removals());
+  }
+  // At most the removals since the last ship (2000 without pruning).
+  EXPECT_EQ(peak, 50u);
+  auto entries = fs.ReadDir("/churn");
+  ASSERT_TRUE(entries.ok());
+  EXPECT_TRUE(entries->empty());
+  EXPECT_EQ(fs.Stat("/churn/m0").code(), ErrorCode::kNotFound);
+  EXPECT_EQ(fs.Stat("/churn/m1999").code(), ErrorCode::kNotFound);
 }
 
 }  // namespace
