@@ -4,7 +4,6 @@
 //
 // Sweeps the libFS batch threshold from per-op shipping (no batching) to
 // effectively unbounded, running Fileserver on PXFS.
-#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -20,8 +19,6 @@ int main() {
               seconds);
   std::printf("%12s %14s %14s %14s\n", "batch", "iter/s", "mean-op(us)",
               "rpc-batches");
-
-  obs::BenchReport report = MakeReport("ablation_batching");
 
   struct Point {
     const char* label;
@@ -62,23 +59,8 @@ int main() {
                 MeanUs(ops),
                 static_cast<unsigned long long>(
                     (*client)->fs()->batches_shipped() - batches_before));
-    report.AddMetric(std::string("fileserver.batch_") + point.label, *tput,
-                     ops);
   }
 
-  // Attribution pass: short span-mode run at the paper-optimal 8MB batch.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FilebenchRunner runner(
-        (*sut)->fs(),
-        FilebenchProfile::Paper(FilebenchKind::kFileserver, scale), "/bench",
-        Seed() + 21);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

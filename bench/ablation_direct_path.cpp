@@ -127,40 +127,23 @@ int main() {
               scale, seconds, pages, values);
   std::printf("%-22s %14s %14s\n", "op", "direct off", "direct on");
 
-  obs::BenchReport report = MakeReport("ablation_direct_path");
-  report.SetConfig("pages", static_cast<double>(pages));
-  report.SetConfig("values", static_cast<double>(values));
-
   PxfsRates off = MeasurePxfs(false, pages, seconds);
   PxfsRates on = MeasurePxfs(true, pages, seconds);
   std::printf("%-22s %14.1f %14.1f\n", "seq_read ops/s", off.read_ops,
               on.read_ops);
   std::printf("%-22s %14.1f %14.1f\n", "aligned_overwrite ops/s",
               off.write_ops, on.write_ops);
-  report.AddThroughput("seq_read.direct_off", off.read_ops);
-  report.AddThroughput("seq_read.direct_on", on.read_ops);
-  report.AddThroughput("overwrite.direct_off", off.write_ops);
-  report.AddThroughput("overwrite.direct_on", on.write_ops);
-  report.AddValue("direct_on.read_bytes",
-                  static_cast<double>(on.direct_read_bytes), "bytes");
-  report.AddValue("direct_on.write_bytes",
-                  static_cast<double>(on.direct_write_bytes), "bytes");
-  report.AddValue("direct_off.read_bytes",
-                  static_cast<double>(off.direct_read_bytes), "bytes");
+  std::printf("%-22s %14llu %14llu\n", "direct bytes read",
+              static_cast<unsigned long long>(off.direct_read_bytes),
+              static_cast<unsigned long long>(on.direct_read_bytes));
+  std::printf("%-22s %14llu %14llu\n", "direct bytes written",
+              static_cast<unsigned long long>(off.direct_write_bytes),
+              static_cast<unsigned long long>(on.direct_write_bytes));
 
   const double flat_off = MeasureFlatGet(false, values, seconds);
   const double flat_on = MeasureFlatGet(true, values, seconds);
   std::printf("%-22s %14.1f %14.1f\n", "flat_get ops/s", flat_off, flat_on);
-  report.AddThroughput("flat_get.direct_off", flat_off);
-  report.AddThroughput("flat_get.direct_on", flat_on);
 
-  // Attribution pass: short span-mode rerun with the direct path ON. The
-  // point of the PR: rpc/lock layers should carry ~no self-time on the
-  // warmed read/overwrite loop.
-  SpanAttributionPass([&] {
-    MeasurePxfs(true, pages, std::min(seconds, 0.5));
-  });
-  report.CaptureAttribution();
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

@@ -4,7 +4,6 @@
 // locks locally, so metadata-heavy single-client workloads avoid per-file
 // lock RPCs entirely. With explicit (X) locks every file lock is a service
 // acquisition. Reports throughput and the clerk's global-acquire counts.
-#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -20,8 +19,6 @@ int main() {
   std::printf("# scale=%.3f, %gs per point\n\n", scale, seconds);
   std::printf("%-14s %12s %16s %16s\n", "dir locks", "iter/s",
               "global-acquires", "local-grants");
-
-  obs::BenchReport report = MakeReport("ablation_lock_modes");
 
   for (const bool hierarchical : {true, false}) {
     auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
@@ -50,25 +47,8 @@ int main() {
                                                 acquires_before),
                 static_cast<unsigned long long>(clerk->local_grants() -
                                                 locals_before));
-    report.AddMetric(std::string("fileserver.") +
-                         (hierarchical ? "hierarchical" : "explicit"),
-                     *tput, ops);
   }
 
-  // Attribution pass: short span-mode hierarchical-lock run (the default
-  // configuration), so clerk/lock self-time lands in the record.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FilebenchRunner runner(
-        (*sut)->fs(),
-        FilebenchProfile::Paper(FilebenchKind::kFileserver, scale), "/bench",
-        Seed() + 77);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

@@ -6,7 +6,6 @@
 // and reports throughput, speedup, and cache hit rates. The ancestor-hit
 // rate is the share of misses that resumed from a cached directory on the
 // path instead of walking from the root.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -24,8 +23,6 @@ int main() {
               scale, seconds);
   std::printf("%-11s %12s %12s %9s %10s %13s\n", "workload", "PXFS it/s",
               "NNC it/s", "speedup", "hit-rate", "ancestor-hit");
-
-  obs::BenchReport report = MakeReport("ablation_name_cache");
 
   const FilebenchKind profiles[] = {FilebenchKind::kFileserver,
                                     FilebenchKind::kWebserver,
@@ -47,8 +44,6 @@ int main() {
       auto result = runner.RunForSeconds(seconds, &ops);
       BENCH_CHECK_OK(result);
       tput[cached] = *result;
-      report.AddMetric(workload + (cached ? ".pxfs" : ".pxfs_nnc"), *result,
-                       ops);
       if (cached) {
         const uint64_t hits = (*sut)->pxfs()->name_cache_hits();
         const uint64_t misses = (*sut)->pxfs()->name_cache_misses();
@@ -67,25 +62,8 @@ int main() {
     std::printf("%-11s %12.1f %12.1f %8.1f%% %9.1f%% %12.1f%%\n",
                 workload.c_str(), tput[1], tput[0],
                 100.0 * (tput[1] / tput[0] - 1.0), hit_rate, ancestor_rate);
-    report.AddValue(workload + ".hit_rate", hit_rate, "percent");
-    report.AddValue(workload + ".ancestor_hit_rate", ancestor_rate,
-                    "percent");
   }
 
-  // Attribution pass: short span-mode Webproxy run (the workload with the
-  // largest name-cache speedup) on cached PXFS.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FilebenchRunner runner(
-        (*sut)->fs(),
-        FilebenchProfile::Paper(FilebenchKind::kWebproxy, scale), "/bench",
-        Seed() + 33);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

@@ -5,7 +5,6 @@
 // Sweeps the modeled loopback round trip from free to 50us, with batching
 // on (8MB) and off (per-op shipping). With batching, throughput should be
 // almost flat — the design goal; without it, RPC cost dominates.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -22,8 +21,6 @@ int main() {
   std::printf("# scale=%.3f, %gs per point\n\n", scale, seconds);
   std::printf("%12s %16s %16s\n", "rpc-delay", "batched it/s",
               "per-op it/s");
-
-  obs::BenchReport report = MakeReport("ablation_rpc_cost");
 
   for (uint64_t delay_ns : {0ull, 5000ull, 10000ull, 20000ull, 50000ull}) {
     double tput[2] = {0, 0};
@@ -47,37 +44,12 @@ int main() {
       auto result = runner.RunForSeconds(seconds, &ops);
       BENCH_CHECK_OK(result);
       tput[batched] = *result;
-      report.AddThroughput(std::string("fileserver.") +
-                               (batched ? "batched" : "per_op") + ".d" +
-                               std::to_string(delay_ns),
-                           *result);
     }
     std::printf("%10lluus %16.1f %16.1f\n",
                 static_cast<unsigned long long>(delay_ns / 1000), tput[1],
                 tput[0]);
   }
 
-  // Attribution pass: short span-mode per-op run at a 10us round trip, where
-  // rpc self-time dominates and shows up clearly in the layer table.
-  SpanAttributionPass([&] {
-    SystemUnderTest::Options options = DefaultSutOptions();
-    options.rpc_delay_ns = 10000;
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, options);
-    BENCH_CHECK_OK(sut);
-    LibFs::Options libfs_options;
-    libfs_options.eager_ship = true;
-    auto client = (*sut)->aerie()->NewClient(libfs_options);
-    BENCH_CHECK_OK(client);
-    Pxfs pxfs((*client)->fs());
-    PxfsAdapter adapter(&pxfs);
-    FilebenchRunner runner(
-        &adapter, FilebenchProfile::Paper(FilebenchKind::kFileserver, scale),
-        "/bench", Seed() + 13);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

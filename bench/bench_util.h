@@ -7,14 +7,11 @@
 //   AERIE_BENCH_THREADS  — max threads for scaling sweeps (default 4)
 //   AERIE_BENCH_SEED     — base RNG seed; every runner derives its seed
 //                          from this so a sweep is reproducible (default 42)
-//   AERIE_BENCH_JSON     — when set, the binary writes its BenchReport
-//                          record (schema-versioned JSON) to this path
-//   AERIE_GIT_SHA        — stamped into the record by the driver
 //
 // Every binary prints a Markdown-ish table mirroring the paper's artifact,
-// plus the paper's numbers alongside where useful (EXPERIMENTS.md records
-// both), and emits one obs::BenchReport record for the trajectory harness
-// (tools/run_benches.sh aggregates them into BENCH_<date>.json).
+// plus the paper's numbers alongside where useful. tools/run_experiments.py
+// runs all of them and copies each table into EXPERIMENTS.md. Performance
+// gating is perfbench's job (tools/bench_pair.py), not these binaries'.
 #ifndef AERIE_BENCH_BENCH_UTIL_H_
 #define AERIE_BENCH_BENCH_UTIL_H_
 
@@ -26,7 +23,6 @@
 #include <thread>
 
 #include "src/common/histogram.h"
-#include "src/obs/bench_report.h"
 #include "src/obs/obs.h"
 #include "src/obs/profiler.h"
 #include "src/scm/pmem.h"
@@ -101,47 +97,13 @@ inline double P95Us(const Histogram& hist) {
   return static_cast<double>(hist.Percentile(95)) / 1e3;
 }
 
-// One BenchReport pre-stamped with the shared environment knobs; benches
-// add their own config keys and metric rows on top.
-inline obs::BenchReport MakeReport(const char* bench) {
-  obs::BenchReport report(bench);
-  report.SetConfig("scale", Scale());
-  report.SetConfig("seconds", Seconds());
-  report.SetConfig("threads", static_cast<double>(MaxThreads()));
-  report.SetConfig("seed", static_cast<double>(Seed()));
-  report.SetConfig("flush_instruction", ScmRegion::flush_instruction());
-  return report;
-}
-
-// Runs `fn` with trace spans forced on against a zeroed registry, then
-// restores the previous mode. Span recording perturbs throughput, so every
-// bench measures first and attributes afterwards on a short rerun; call
-// report.CaptureAttribution() right after this returns.
-template <typename Fn>
-inline void SpanAttributionPass(Fn&& fn) {
-  obs::ResetAll();
-  const obs::Mode saved = obs::CurrentMode();
-  obs::SetMode(obs::Mode::kSpans);
-  fn();
-  obs::SetMode(saved);
-}
-
-// Finishes a record: write to $AERIE_BENCH_JSON (if set) and surface the
-// path on stdout so driver logs show where each record landed. When the
-// sampling profiler is live (AERIE_PROF), also flush its folded-stack /
-// profile-JSON artifacts ($AERIE_PROF_FOLDED / $AERIE_PROF_JSON) and print
-// the top self-CPU frames so a bench run doubles as a profile run.
-inline void FinishReport(const obs::BenchReport& report) {
-  const std::string path = report.WriteIfConfigured();
-  if (!path.empty()) {
-    std::printf("BENCH_JSON_FILE %s\n", path.c_str());
-  }
+// Under AERIE_PROF, prints the top self-CPU frames so a bench run doubles
+// as a profile run. The profiler's own exit hook writes the folded-stack /
+// profile-JSON artifacts ($AERIE_PROF_FOLDED / $AERIE_PROF_JSON).
+inline void PrintProfileTop() {
   if (obs::prof::IsRunning()) {
-    obs::prof::WriteProfileFilesIfConfigured();
-    const std::string top = obs::prof::TopText(10);
-    if (!top.empty()) {
-      std::fputs(top.c_str(), stdout);
-    }
+    obs::prof::DrainNow();
+    std::fputs(obs::prof::TopText(10).c_str(), stdout);
   }
 }
 

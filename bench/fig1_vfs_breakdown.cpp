@@ -175,9 +175,6 @@ int main() {
         [&](const std::string& p) { (void)vfs.Unlink(p); }, renamed));
   }
 
-  obs::BenchReport report = MakeReport("fig1_vfs_breakdown");
-  report.SetConfig("nfiles", static_cast<double>(nfiles));
-
   std::printf("%-8s %9s |", "op", "avg(us)");
   for (const char* cat : kCatNames) {
     std::printf(" %7s", cat);
@@ -190,12 +187,9 @@ int main() {
       std::printf(" %6.1f%%", pct);
     }
     std::printf("\n");
-    report.AddValue("vfs." + row.name + ".avg_us", row.avg_us, "us");
     // "generic semantics" = sync + memobj + naming (paper: 87% average).
     generic_sum += row.pct[2] + row.pct[3] + row.pct[4];
   }
-  report.AddValue("vfs.generic_semantics_share",
-                  generic_sum / static_cast<double>(rows.size()), "percent");
   std::printf("\ngeneric-semantics share (sync+memobj+naming), avg across "
               "ops: %.1f%%  (paper: ~87%%)\n",
               generic_sum / static_cast<double>(rows.size()));
@@ -207,21 +201,7 @@ int main() {
               obs::DumpText().c_str());
   std::printf("OBS_JSON %s\n", obs::DumpJson().c_str());
 
-  // Attribution pass: rerun stat/open over a slice of the tree with spans
-  // on, so the record carries vfs-layer self-time like every other bench.
-  bench::SpanAttributionPass([&] {
-    const size_t slice = std::min<size_t>(files.size(), 2000);
-    vfs.DropCaches();
-    for (size_t i = 0; i < slice; ++i) {
-      (void)vfs.Stat(files[i]);
-      auto fd = vfs.Open(files[i], kOpenRead);
-      if (fd.ok()) {
-        (void)vfs.Close(*fd);
-      }
-    }
-  });
-  report.CaptureAttribution();
-  bench::FinishReport(report);
+  bench::PrintProfileTop();
   const std::string trace_path = obs::WriteTraceFileIfConfigured();
   if (!trace_path.empty()) {
     std::printf("TRACE_FILE %s\n", trace_path.c_str());

@@ -9,7 +9,6 @@
 // NOTE: this host has a single CPU core, so absolute scaling flattens; the
 // *relative* per-system ordering and the FlatFS-vs-PXFS contention gap are
 // the reproducible shapes (EXPERIMENTS.md discusses this).
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -85,8 +84,6 @@ int main() {
   std::printf("# scale=%.3f, %gs per point, %s (see EXPERIMENTS.md)\n\n",
               scale, seconds, HostBanner().c_str());
 
-  obs::BenchReport report = MakeReport("fig5_thread_scaling");
-
   const FilebenchKind profiles[] = {FilebenchKind::kFileserver,
                                     FilebenchKind::kWebserver,
                                     FilebenchKind::kWebproxy};
@@ -110,10 +107,6 @@ int main() {
             RunThreads(sut->get(), profile, scale, seconds, t, false);
         std::printf(" %10.0f", tput);
         std::fflush(stdout);
-        report.AddThroughput(std::string(FilebenchKindName(profile)) + "." +
-                                 std::string(SutKindName(kind)) + ".t" +
-                                 std::to_string(t),
-                             tput);
       }
       std::printf("\n");
     }
@@ -128,24 +121,12 @@ int main() {
             RunThreads(sut->get(), profile, scale, seconds, t, true);
         std::printf(" %10.0f", tput);
         std::fflush(stdout);
-        report.AddThroughput(std::string(FilebenchKindName(profile)) +
-                                 ".flatfs.t" + std::to_string(t),
-                             tput);
       }
       std::printf("\n");
     }
     std::printf("\n");
   }
 
-  // Attribution pass: a short span-mode two-thread Webproxy run on PXFS
-  // (the contended configuration the figure is about).
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    RunThreads(sut->get(), FilebenchKind::kWebproxy, scale,
-               std::min(seconds, 0.5), 2, false);
-  });
-  report.CaptureAttribution();
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

@@ -9,7 +9,6 @@
 // Expected shapes: the PXFS/ext4 gap narrows as write latency grows (block
 // access amortizes better), and FlatFS's specialization benefit shrinks as
 // storage cost dominates software cost.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -82,8 +81,6 @@ int main() {
   };
   const uint64_t delays[] = {0, 100, 1000, 10000};
 
-  obs::BenchReport report = MakeReport("fig6_write_latency");
-
   std::printf("%-17s |", "series");
   for (uint64_t d : delays) {
     std::printf(" %8lluns", static_cast<unsigned long long>(d));
@@ -96,27 +93,10 @@ int main() {
       const double tput = MeasureOne(s.kind, s.profile, d, scale, seconds);
       std::printf(" %10.1f", tput);
       std::fflush(stdout);
-      report.AddThroughput(std::string(s.name) + ".d" + std::to_string(d),
-                           tput);
     }
     std::printf("\n");
   }
 
-  // Attribution pass: short span-mode Fileserver run on PXFS at the 1000ns
-  // point, where flush self-time starts to matter.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FilebenchRunner runner(
-        (*sut)->fs(),
-        FilebenchProfile::Paper(FilebenchKind::kFileserver, scale), "/bench",
-        Seed() + 9);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    (*sut)->SetWriteLatency(1000);
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

@@ -2,9 +2,6 @@
 // collection insert/lookup, mFile read/write paths, lock clerk fast paths,
 // PXFS path resolution, persistence primitives, OID encoding. These
 // calibrate the building blocks the table/figure harnesses compose.
-//
-// A custom reporter captures every run's ns/op into the shared BenchReport
-// record (AERIE_BENCH_JSON), alongside an scm+clerk span attribution pass.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -229,68 +226,16 @@ BENCHMARK_CAPTURE(BM_PxfsResolve, miss_cached_parent,
                   kResolveMissCachedParent);
 BENCHMARK_CAPTURE(BM_PxfsResolve, cold, kResolveCold);
 
-// Console output stays intact; per-iteration runs (not aggregates) are also
-// recorded as ns/op values in the machine-readable bench record.
-class CaptureReporter : public benchmark::ConsoleReporter {
- public:
-  explicit CaptureReporter(obs::BenchReport* report) : report_(report) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type == Run::RT_Iteration && run.iterations > 0) {
-        const double per_iter_ns = run.real_accumulated_time * 1e9 /
-                                   static_cast<double>(run.iterations);
-        report_->AddValue(run.benchmark_name(), per_iter_ns, "ns/op");
-      }
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
- private:
-  obs::BenchReport* report_;
-};
-
-// Exercises the span-instrumented scm flush path and the clerk fast paths so
-// the record's layer table covers the substrate this binary calibrates.
-void RunAttributionWorkload() {
-  auto* fx = Fixture();
-  auto* slot = reinterpret_cast<uint64_t*>(
-      fx->region->PtrAt(fx->region->size() - kScmPageSize));
-  char* dst = fx->region->PtrAt(fx->region->size() - 2 * kScmPageSize);
-  std::string src(4096, 'x');
-  for (uint64_t i = 0; i < 20000; ++i) {
-    fx->region->PersistU64(slot, i);
-  }
-  for (int i = 0; i < 2000; ++i) {
-    fx->region->StreamWrite(dst, src.data(), src.size());
-    fx->region->BFlush();
-  }
-  LockService service;
-  DirectLockClient stub(&service, 1);
-  LockClerk clerk(&stub);
-  service.RegisterClient(1, &clerk);
-  for (int i = 0; i < 20000; ++i) {
-    (void)clerk.Acquire(42, LockMode::kShared);
-    clerk.Release(42);
-  }
-}
-
 }  // namespace
 }  // namespace aerie
 
 int main(int argc, char** argv) {
-  using namespace aerie::bench;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  aerie::obs::BenchReport report = MakeReport("gbench_primitives");
-  aerie::CaptureReporter reporter(&report);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-
-  SpanAttributionPass([] { aerie::RunAttributionWorkload(); });
-  report.CaptureAttribution();
-  FinishReport(report);
+  aerie::bench::PrintProfileTop();
   return 0;
 }

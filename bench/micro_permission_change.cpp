@@ -18,8 +18,6 @@ int main() {
   std::printf("# Permission change cost per referenced page\n");
   std::printf("# paper: 3.3us/page (TLB shootdown dominated)\n\n");
 
-  obs::BenchReport report = MakeReport("micro_permission_change");
-
   for (const bool hard : {false, true}) {
     auto region = ScmRegion::CreateAnonymous(256ull << 20);
     BENCH_CHECK_OK(region);
@@ -49,9 +47,6 @@ int main() {
       std::printf("%10llu %14.2f %16.3f\n",
                   static_cast<unsigned long long>(pages), total_us,
                   total_us / static_cast<double>(pages));
-      report.AddValue(std::string("mprotect.") + (hard ? "hard" : "soft") +
-                          ".pages" + std::to_string(pages) + ".per_page_us",
-                      total_us / static_cast<double>(pages), "us");
       // Restore and destroy for the next size.
       BENCH_CHECK_STATUS((*mgr)->MprotectExtent(start, MakeAcl(0, 3)));
       if (hard) {
@@ -63,31 +58,6 @@ int main() {
     std::printf("\n");
   }
 
-  // Attribution pass: extent create/destroy persists through the SCM
-  // primitives, so the record carries scm-layer flush self-time.
-  SpanAttributionPass([&] {
-    auto region = ScmRegion::CreateAnonymous(64ull << 20);
-    BENCH_CHECK_OK(region);
-    ScmManager::Options options;
-    options.max_extents = 1 << 10;
-    auto mgr = ScmManager::Format(region->get(), options);
-    BENCH_CHECK_OK(mgr);
-    ProcessContext ctx({0});
-    (*mgr)->RegisterContext(&ctx);
-    for (int i = 0; i < 200; ++i) {
-      const uint64_t start = (*mgr)->data_start();
-      BENCH_CHECK_STATUS(
-          (*mgr)->CreateExtent(start, 4 * kScmPageSize, MakeAcl(0, 3)));
-      BENCH_CHECK_STATUS(
-          (*mgr)->TouchRange(&ctx, start, 4 * kScmPageSize, 1));
-      BENCH_CHECK_STATUS(
-          (*mgr)->MprotectExtent(start, MakeAcl(0, kAclRightRead)));
-      BENCH_CHECK_STATUS((*mgr)->MprotectExtent(start, MakeAcl(0, 3)));
-      BENCH_CHECK_STATUS((*mgr)->DestroyExtent(start));
-    }
-    (*mgr)->UnregisterContext(&ctx);
-  });
-  report.CaptureAttribution();
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

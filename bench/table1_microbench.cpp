@@ -45,17 +45,10 @@ int main() {
               static_cast<double>(config.random_bytes) / (1 << 20),
               static_cast<unsigned long long>(config.nfiles));
 
-  obs::BenchReport report = MakeReport("table1_microbench");
-  report.SetConfig("file_mb",
-                   static_cast<double>(config.file_bytes) / (1 << 20));
-  report.SetConfig("nfiles", static_cast<double>(config.nfiles));
   const uint64_t seed = Seed();
 
   const SutKind kinds[] = {SutKind::kPxfs, SutKind::kRamFs, SutKind::kExt3,
                            SutKind::kExt4};
-  constexpr const char* kOpSlugs[8] = {"seq_read", "seq_write", "rand_read",
-                                       "rand_write", "open", "create",
-                                       "delete", "append"};
   // results[op][system] = mean us
   std::vector<std::vector<double>> results(8,
                                            std::vector<double>(4, 0.0));
@@ -70,9 +63,6 @@ int main() {
       BENCH_CHECK_OK(hist);
       results[static_cast<size_t>(row)][static_cast<size_t>(s)] =
           MeanUs(*hist);
-      report.AddLatency(std::string((*sut)->name()) + "." +
-                            kOpSlugs[static_cast<size_t>(row)],
-                        *hist);
     };
     record(0, BenchSeqRead(fs, "/micro", config));
     record(1, BenchSeqWrite(fs, "/micro", config));
@@ -102,7 +92,9 @@ int main() {
   // spans enabled on a fresh SUT. Spans perturb measured latencies, so this
   // runs after (and separately from) the main table's measurements; its
   // breakdown comes solely from the obs registry.
-  SpanAttributionPass([&] {
+  obs::ResetAll();
+  obs::SetMode(obs::Mode::kSpans);
+  {
     auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
     BENCH_CHECK_OK(sut);
     FsInterface* fs = (*sut)->fs();
@@ -115,12 +107,11 @@ int main() {
     BENCH_CHECK_OK(BenchCreate(fs, "/micro", config));
     BENCH_CHECK_OK(BenchDelete(fs, "/micro", config));
     BENCH_CHECK_OK(BenchAppend(fs, "/micro", config));
-  });
-  report.CaptureAttribution();
+  }
 
   std::printf("\n== PXFS per-layer breakdown (instrumented pass) ==\n%s",
               obs::LayerBreakdownText().c_str());
   std::printf("\nOBS_JSON %s\n", obs::DumpJson().c_str());
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

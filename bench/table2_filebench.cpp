@@ -1,7 +1,6 @@
 // Table 2: average (and 95th-percentile) latency per workload operation for
 // the FileBench profiles on PXFS, PXFS-NNC, RamFS, ext3, ext4 (paper
 // §7.2.2).
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -33,7 +32,6 @@ int main() {
               "parens\n\n",
               scale, seconds);
 
-  obs::BenchReport report = MakeReport("table2_filebench");
   const uint64_t seed = Seed();
 
   const SutKind kinds[] = {SutKind::kPxfs, SutKind::kPxfsNnc,
@@ -65,28 +63,12 @@ int main() {
       BENCH_CHECK_OK(runner.RunForSeconds(seconds, &ops));
       std::printf(" %7.2f (%6.2f)", MeanUs(ops), P95Us(ops));
       std::fflush(stdout);
-      report.AddLatency(std::string(FilebenchKindName(profiles[p])) + "." +
-                            std::string(SutKindName(kind)),
-                        ops);
     }
     std::printf(" | %.1f / %.1f / %.1f / %.1f / %.1f\n", kPaper[p].pxfs,
                 kPaper[p].pxfs_nnc, kPaper[p].ramfs, kPaper[p].ext3,
                 kPaper[p].ext4);
   }
 
-  // Attribution pass: a short span-mode Fileserver run on PXFS.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    FilebenchRunner runner(
-        (*sut)->fs(),
-        FilebenchProfile::Paper(FilebenchKind::kFileserver, scale), "/bench",
-        seed);
-    BENCH_CHECK_STATUS(runner.Prepare());
-    Histogram ops;
-    BENCH_CHECK_OK(runner.RunForSeconds(std::min(seconds, 0.5), &ops));
-  });
-  report.CaptureAttribution();
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

@@ -9,7 +9,6 @@
 // session) driven by its own thread, operating in its own directory to
 // avoid lock contention between clients — exactly the paper's setup modulo
 // the process/thread substitution (DESIGN.md §4).
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -99,8 +98,6 @@ int main() {
   std::printf("# paper (ops/s): FS alone 59k@1 -> 214k@6; FS+WP 273k@2 -> "
               "599k@6; FS+WP(FlatFS) 349k@2 -> 922k@6\n\n");
 
-  obs::BenchReport report = MakeReport("table3_multiclient");
-
   const int client_counts[] = {1, 2, 4, 6};
   std::printf("%-22s |", "Benchmark");
   for (int n : client_counts) {
@@ -118,7 +115,6 @@ int main() {
         RunClients(sut->get(), n, false, false, scale, seconds);
     std::printf(" %9.0f", tput);
     std::fflush(stdout);
-    report.AddThroughput("fileserver.c" + std::to_string(n), tput);
   }
   std::printf("\n");
 
@@ -136,7 +132,6 @@ int main() {
         RunClients(sut->get(), n, true, false, scale, seconds);
     std::printf(" %9.0f", tput);
     std::fflush(stdout);
-    report.AddThroughput("fs_webproxy.c" + std::to_string(n), tput);
   }
   std::printf("\n");
 
@@ -155,24 +150,15 @@ int main() {
         RunClients(sut->get(), n, true, true, scale, seconds);
     std::printf(" %9.0f", tput);
     std::fflush(stdout);
-    report.AddThroughput("fs_webproxy_flatfs.c" + std::to_string(n), tput);
   }
   std::printf("\n");
   // AERIE_OBS=spans AERIE_TRACE_FILE=trace.json turns the last configuration
   // into a loadable Perfetto timeline (client tracks + clerk/TFS activity).
-  // Written before the attribution pass below, which resets the recorder.
   const std::string trace_path = obs::WriteTraceFileIfConfigured();
   if (!trace_path.empty()) {
     std::printf("TRACE_FILE %s\n", trace_path.c_str());
   }
 
-  // Attribution pass: a short span-mode two-client Fileserver run.
-  SpanAttributionPass([&] {
-    auto sut = SystemUnderTest::Create(SutKind::kPxfs, DefaultSutOptions());
-    BENCH_CHECK_OK(sut);
-    RunClients(sut->get(), 2, false, false, scale, std::min(seconds, 0.5));
-  });
-  report.CaptureAttribution();
-  FinishReport(report);
+  PrintProfileTop();
   return 0;
 }

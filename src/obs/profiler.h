@@ -12,7 +12,7 @@
 // single-producer/single-consumer ring of atomics. A collector thread
 // drains the rings every ~100 ms into folded-stack aggregates keyed by
 // (span, frames) and credits each sample's period to the span's cpu_ns, so
-// the span tables (DumpJson / LayerBreakdownText / telemetry / BenchReport)
+// the span tables (DumpJson / LayerBreakdownText / telemetry)
 // decompose every layer into cpu vs. lock/rpc/other wait (the wait side is
 // obs::ScopedWait at the instrumented blocking sites).
 //
@@ -73,8 +73,8 @@ void MaybeStartFromEnv();
 void RegisterCurrentThread();
 
 // Synchronously drains all thread rings into the aggregates (also credits
-// span cpu_ns). BenchReport calls this before collecting so the CPU column
-// includes the final partial collector interval.
+// span cpu_ns). Call before reading the aggregates so they include the
+// final partial collector interval.
 void DrainNow();
 
 struct ProfileStats {

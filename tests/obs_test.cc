@@ -4,16 +4,15 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <cctype>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
-#include "src/obs/bench_report.h"
 
 namespace aerie {
 namespace obs {
@@ -332,72 +331,131 @@ TEST_F(ObsTest, DumpJsonContainsMetricsAndLayers) {
   EXPECT_NE(table.find("testlayer"), std::string::npos);
 }
 
-TEST_F(ObsTest, BenchReportJsonShape) {
-  SetMode(Mode::kSpans);
-  {
-    AERIE_SPAN("benchlayer", "hot_op");
-    SpinDelayNanos(5'000);
+// JSON well-formedness (RFC 8259 grammar, no semantics): true when `s` is
+// exactly one JSON value.
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view s) : s_(s) {}
+  bool Valid() {
+    if (!Value()) {
+      return false;
+    }
+    SkipSpace();
+    return pos_ == s_.size();
   }
-  BenchReport report("unit_test_bench");
-  report.SetConfig("scale", 0.5);
-  report.SetConfig("mode", std::string("quick"));
-  Histogram h;
-  h.Record(1000);
-  h.Record(3000);
-  report.AddLatency("pxfs.op", h);
-  report.AddThroughput("pxfs.iters", 1234.5);
-  report.AddValue("vfs.stat.avg_us", 3.25, "us");
-  report.CaptureAttribution();
 
-  const std::string json = report.ToJson();
-  EXPECT_EQ(json.rfind("{\"schema_version\":1,", 0), 0u);
-  EXPECT_NE(json.find("\"bench\":\"unit_test_bench\""), std::string::npos);
-  EXPECT_NE(json.find("\"git_sha\":"), std::string::npos);
-  EXPECT_NE(json.find("\"scale\":0.5"), std::string::npos);
-  EXPECT_NE(json.find("\"mode\":\"quick\""), std::string::npos);
-  // Latency metrics derive ops_per_sec from the mean (2us -> 500k/s).
-  EXPECT_NE(json.find("\"name\":\"pxfs.op\",\"ops_per_sec\":500000"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"latency_ns\":{\"count\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"pxfs.iters\",\"ops_per_sec\":1234.5"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"value\":3.25,\"unit\":\"us\""), std::string::npos);
-  // The span recorded above must surface both as a layer row and a ranked
-  // hot-span row.
-  EXPECT_NE(json.find("\"layer\":\"benchlayer\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"benchlayer.hot_op\",\"count\":1"),
-            std::string::npos);
+ private:
+  bool At(const char* set) const {
+    return pos_ < s_.size() && s_[pos_] != '\0' &&
+           std::strchr(set, s_[pos_]) != nullptr;
+  }
+  void SkipSpace() {
+    while (At(" \t\n\r")) {
+      ++pos_;
+    }
+  }
+  bool Eat(char c) {
+    SkipSpace();
+    if (pos_ < s_.size() && s_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool Word(std::string_view w) {
+    if (s_.substr(pos_, w.size()) != w) {
+      return false;
+    }
+    pos_ += w.size();
+    return true;
+  }
+  bool String() {
+    if (!Eat('"')) {
+      return false;
+    }
+    while (pos_ < s_.size()) {
+      const auto c = static_cast<unsigned char>(s_[pos_++]);
+      if (c == '"') {
+        return true;
+      }
+      if (c < 0x20) {
+        return false;
+      }
+      if (c != '\\') {
+        continue;
+      }
+      if (At("\"\\/bfnrt")) {
+        ++pos_;
+      } else if (Word("u")) {
+        for (int i = 0; i < 4; ++i, ++pos_) {
+          if (pos_ >= s_.size() ||
+              !std::isxdigit(static_cast<unsigned char>(s_[pos_]))) {
+            return false;
+          }
+        }
+      } else {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool Value() {
+    SkipSpace();
+    if (Eat('{')) {
+      if (Eat('}')) {
+        return true;
+      }
+      do {
+        if (!String() || !Eat(':') || !Value()) {
+          return false;
+        }
+      } while (Eat(','));
+      return Eat('}');
+    }
+    if (Eat('[')) {
+      if (Eat(']')) {
+        return true;
+      }
+      do {
+        if (!Value()) {
+          return false;
+        }
+      } while (Eat(','));
+      return Eat(']');
+    }
+    if (At("\"")) {
+      return String();
+    }
+    if (Word("true") || Word("false") || Word("null")) {
+      return true;
+    }
+    const size_t start = pos_;
+    while (At("+-0123456789.eE")) {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+
+  std::string_view s_;
+  size_t pos_ = 0;
+};
+
+TEST_F(ObsTest, JsonEscapeEscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(JsonEscape("plain.name_1"), "plain.name_1");
+  EXPECT_EQ(JsonEscape("a\"b\\c\nd\x01" "e"), R"(a\"b\\c\u000ad\u0001e)");
 }
 
-// Strings from outside the process (AERIE_GIT_SHA, config text) may carry
-// quotes, backslashes and control characters; the record must still be
-// valid JSON, so every one of them is escaped and no raw control byte is
-// emitted.
-TEST_F(ObsTest, BenchReportEscapesControlCharacters) {
-  const char* prev = std::getenv("AERIE_GIT_SHA");
-  const std::string prev_sha = prev != nullptr ? prev : "";
-  ASSERT_EQ(setenv("AERIE_GIT_SHA", "ab\"c\\d\ne\x01" "f", 1), 0);
-  BenchReport report("escape_bench");
-  if (prev != nullptr) {
-    setenv("AERIE_GIT_SHA", prev_sha.c_str(), 1);
-  } else {
-    unsetenv("AERIE_GIT_SHA");
-  }
-  report.SetConfig("note", std::string("x\"y\\z\n\x01w"));
-
-  const std::string json = report.ToJson();
-  EXPECT_EQ(std::count_if(json.begin(), json.end(),
-                          [](char c) {
-                            return static_cast<unsigned char>(c) < 0x20;
-                          }),
-            0)
-      << json;
-  EXPECT_NE(json.find(R"("git_sha":"ab\"c\\d\u000ae\u0001f")"),
+// A metric name is caller text; whatever it holds, the registry dump must
+// stay one valid JSON document and carry the name escaped.
+TEST_F(ObsTest, DumpJsonStaysValidWithControlCharactersInNames) {
+  Registry::Instance().GetCounter("test.esc\"q\\b\nn\x01" "x").Add(2);
+  const std::string json = DumpJson();
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_NE(json.find(R"("test.esc\"q\\b\u000an\u0001x":2)"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find(R"("note":"x\"y\\z\u000a\u0001w")"),
-            std::string::npos)
-      << json;
+  EXPECT_FALSE(JsonChecker(R"({"a":"x)" "\n" R"("})").Valid());
+  EXPECT_FALSE(JsonChecker(R"({"a":1,})").Valid());
 }
 
 TEST_F(ObsTest, RpcMethodStatsUseRegisteredNames) {

@@ -7,7 +7,7 @@
 // (p50/p95/p99 over roughly the last obs::kWindowSeconds seconds),
 // per-RPC-method interval rates, and the per-layer SCM write-amplification
 // breakdown. `--json` takes two samples and emits one machine-readable
-// document instead (validated by tools/validate_telemetry.py in CI).
+// document instead (validated by `tools/validate.py telemetry` in CI).
 //
 // Interval rates are counter deltas between consecutive samples divided by
 // the wall-clock elapsed; a registry reset mid-run (bench epochs call

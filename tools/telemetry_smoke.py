@@ -4,13 +4,17 @@
 Launches a real multi-client bench (table3_multiclient) with the
 shared-memory publisher enabled in a private segment directory, attaches
 aerie_top --json MID-RUN (while the bench is still working), and validates
-the document against tools/telemetry_schema.json — requiring at least one
+the document with `tools/validate.py telemetry` — requiring at least one
 live process, at least one per-layer span row, a nonzero logical write
 byte count so the write-amplification pipeline is proven end to end, and
 nonzero lock-wait attribution so the off-CPU wait plane is proven on a
 genuinely contended multi-client run. The sampling profiler is enabled
 (AERIE_PROF=1) so SIGPROF coexisting with the shm publisher is exercised
 here too.
+
+The sample is taken on a condition, not after a fixed delay: table3 flushes
+stdout after every data point, so once the single-client Fileserver figure
+has printed, the multi-client phase (the one with lock waits) is running.
 
 Stdlib only; wired as the `telemetry_smoke` ctest target.
 
@@ -23,10 +27,37 @@ import argparse
 import glob
 import json
 import os
+import re
+import select
 import subprocess
 import sys
 import tempfile
 import time
+
+
+# Table 3's first row is "Fileserver (FS) | <1 client> <2 clients> ...";
+# a figure after the bar means the 1-client point is done.
+MULTI_CLIENT_PHASE = re.compile(rb"Fileserver \(FS\)\s*\|\s*\d+")
+
+
+def wait_for_multi_client_phase(bench, deadline):
+    """Reads the bench's stdout until the multi-client phase has begun.
+    Returns None on success, else the reason it never began."""
+    out = b""
+    fd = bench.stdout.fileno()
+    while not MULTI_CLIENT_PHASE.search(out):
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return "the multi-client phase did not begin within the deadline"
+        ready, _, _ = select.select([fd], [], [], remaining)
+        if not ready:
+            continue
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            return "bench exited (rc=%s) before its multi-client phase" % (
+                bench.wait())
+        out += chunk
+    return None
 
 
 def main():
@@ -58,22 +89,15 @@ def main():
         })
         bench = subprocess.Popen(
             [args.bench], env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         try:
-            # Wait for the bench's segment to appear and accumulate a little
-            # work, then sample while it is still running.
-            pattern = os.path.join(shm, "aerie.obs.*")
-            while not glob.glob(pattern):
-                if bench.poll() is not None:
-                    print("FAIL: bench exited (rc=%s) before publishing a "
-                          "telemetry segment" % bench.returncode)
-                    return 1
-                if time.monotonic() > deadline:
-                    print("FAIL: no telemetry segment within the deadline")
-                    return 1
-                time.sleep(0.05)
-            time.sleep(1.0)
-
+            reason = wait_for_multi_client_phase(bench, deadline)
+            if reason is not None:
+                print("FAIL: " + reason)
+                return 1
+            if not glob.glob(os.path.join(shm, "aerie.obs.*")):
+                print("FAIL: bench published no telemetry segment")
+                return 1
             if bench.poll() is not None:
                 print("FAIL: bench exited before aerie_top could attach")
                 return 1
@@ -108,8 +132,8 @@ def main():
             return 1
 
         rc = subprocess.call([
-            sys.executable, os.path.join(tools_dir, "validate_telemetry.py"),
-            "--min-processes", "1", "--min-layers", "1",
+            sys.executable, os.path.join(tools_dir, "validate.py"),
+            "telemetry", "--min-processes", "1", "--min-layers", "1",
             "--require-logical-writes", "--require-lock-wait", doc_path])
         if rc != 0:
             return rc
