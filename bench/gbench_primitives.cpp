@@ -81,8 +81,9 @@ void BM_CollectionInsert(benchmark::State& state) {
   auto coll = Collection::Create(fx->volume->context(), 0);
   uint64_t i = 0;
   for (auto _ : state) {
+    const uint64_t key = i++;
     benchmark::DoNotOptimize(
-        coll->Insert("key" + std::to_string(i++), i).ok());
+        coll->Insert("key" + std::to_string(key), key).ok());
   }
 }
 BENCHMARK(BM_CollectionInsert);

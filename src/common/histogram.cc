@@ -28,17 +28,16 @@ int Histogram::BucketFor(uint64_t value) {
   return std::min(major * kMinor + minor, kBuckets - 1);
 }
 
-uint64_t Histogram::BucketMidpoint(int bucket) {
+uint64_t Histogram::BucketLow(int bucket, uint64_t* width) {
   const int major = bucket / kMinor;
   const int minor = bucket % kMinor;
   if (major == 0) {
+    *width = 1;
     return static_cast<uint64_t>(minor);
   }
   const int log = major + kMinorBits - 1;
-  const uint64_t base =
-      (1ULL << log) + (static_cast<uint64_t>(minor) << (log - kMinorBits));
-  const uint64_t width = 1ULL << (log - kMinorBits);
-  return base + width / 2;
+  *width = 1ULL << (log - kMinorBits);
+  return (1ULL << log) + (static_cast<uint64_t>(minor) << (log - kMinorBits));
 }
 
 void Histogram::Record(uint64_t value) {
@@ -57,6 +56,32 @@ void Histogram::Merge(const Histogram& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
+}
+
+void Histogram::Subtract(const Histogram& earlier) {
+  int lo = -1;
+  int hi = -1;
+  for (int i = 0; i < kBuckets; ++i) {
+    uint64_t& bucket = buckets_[static_cast<size_t>(i)];
+    bucket -= std::min(bucket, earlier.buckets_[static_cast<size_t>(i)]);
+    if (bucket != 0) {
+      hi = i;
+      lo = lo < 0 ? i : lo;
+    }
+  }
+  count_ -= std::min(count_, earlier.count_);
+  sum_ -= std::min(sum_, earlier.sum_);
+  if (count_ == 0) {
+    Clear();
+    return;
+  }
+  if (lo < 0) {
+    return;  // scalar-only histogram (no buckets were serialized)
+  }
+  uint64_t width = 0;
+  min_ = std::max(min_, BucketLow(lo, &width));
+  const uint64_t hi_low = BucketLow(hi, &width);
+  max_ = std::min(max_, hi_low + (width - 1));
 }
 
 void Histogram::MergeSerialized(const uint64_t* buckets, int n,
@@ -101,7 +126,9 @@ uint64_t Histogram::Percentile(double p) const {
       // exact (the bucket midpoint can sit above the only recorded value)
       // and keeps the top bucket's wide midpoint from exceeding the true
       // maximum.
-      return std::clamp(BucketMidpoint(i), min(), max());
+      uint64_t width = 0;
+      const uint64_t low = BucketLow(i, &width);
+      return std::clamp(low + width / 2, min(), max());
     }
   }
   return max_;

@@ -14,8 +14,9 @@ namespace aerie {
 class Histogram {
  public:
   // 64 power-of-two major buckets x 16 linear minor buckets. Public because
-  // the telemetry plane serializes raw bucket counts into shared memory and
-  // re-merges them across processes (src/obs/telemetry.h).
+  // the telemetry plane serializes raw bucket counts into shared memory,
+  // re-merges them across processes, and subtracts two reads bucket by
+  // bucket for interval tails (src/obs/telemetry.h).
   static constexpr int kMinorBits = 4;
   static constexpr int kMinor = 1 << kMinorBits;
   static constexpr int kBuckets = 64 * kMinor;
@@ -29,6 +30,13 @@ class Histogram {
 
   // Merges another histogram into this one (for per-thread aggregation).
   void Merge(const Histogram& other);
+
+  // Leaves the samples recorded since `earlier`, an older snapshot of the
+  // same histogram: bucket counts, count and sum subtract, and min/max
+  // narrow to the bounds of the buckets still occupied (so they, like
+  // percentiles, hold to bucket resolution). `earlier` must not hold
+  // samples this one lacks (no reset in between); callers check count().
+  void Subtract(const Histogram& earlier);
 
   // Raw bucket count, i in [0, kBuckets). Pairs with MergeSerialized for
   // shared-memory round trips.
@@ -64,7 +72,8 @@ class Histogram {
 
  private:
   static int BucketFor(uint64_t value);
-  static uint64_t BucketMidpoint(int bucket);
+  // Smallest value that lands in `bucket`; the bucket spans *width values.
+  static uint64_t BucketLow(int bucket, uint64_t* width);
 
   std::array<uint64_t, kBuckets> buckets_;
   uint64_t count_ = 0;

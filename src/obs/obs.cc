@@ -29,21 +29,7 @@ int InitModeFromEnv() {
   return mode;
 }
 
-namespace {
-// 0 = the kWindowSeconds default.
-std::atomic<uint64_t> g_window_epoch_ns{0};
-}  // namespace
-
-uint64_t WindowEpochNanos() {
-  const uint64_t v = g_window_epoch_ns.load(std::memory_order_relaxed);
-  return v != 0 ? v : kWindowSeconds * 1000000000ull / kWindowEpochs;
-}
-
 }  // namespace detail
-
-void SetWindowEpochNanosForTesting(uint64_t ns) {
-  detail::g_window_epoch_ns.store(ns, std::memory_order_relaxed);
-}
 
 Mode ParseMode(std::string_view text) {
   if (text == "off" || text == "0" || text == "none") {
@@ -53,6 +39,18 @@ Mode ParseMode(std::string_view text) {
     return Mode::kSpans;
   }
   return Mode::kCounters;
+}
+
+const char* ModeName(Mode mode) {
+  switch (mode) {
+    case Mode::kOff:
+      return "off";
+    case Mode::kCounters:
+      return "counters";
+    case Mode::kSpans:
+      return "spans";
+  }
+  return "?";
 }
 
 void SetMode(Mode mode) {
@@ -108,40 +106,10 @@ Histogram LatencyHistogram::Snapshot() const {
   return out;
 }
 
-Histogram LatencyHistogram::WindowSnapshotAt(uint64_t now_ns) const {
-  Histogram out;
-  const uint64_t cur = now_ns / detail::WindowEpochNanos();
-  const uint64_t min_id = cur >= static_cast<uint64_t>(kWindowEpochs) - 1
-                              ? cur - (kWindowEpochs - 1)
-                              : 0;
-  for (const Shard& shard : shards_) {
-    shard.lock.lock();
-    if (shard.window != nullptr) {
-      for (int i = 0; i < kWindowEpochs; ++i) {
-        const WindowEpoch& epoch = shard.window[i];
-        // epoch_id > cur guards against samples stamped by a test clock
-        // that then moved backwards; they are simply not in this window.
-        if (epoch.epoch_id != kNoEpoch && epoch.epoch_id >= min_id &&
-            epoch.epoch_id <= cur) {
-          out.Merge(epoch.hist);
-        }
-      }
-    }
-    shard.lock.unlock();
-  }
-  return out;
-}
-
 void LatencyHistogram::Reset() {
   for (Shard& shard : shards_) {
     shard.lock.lock();
     shard.hist.Clear();
-    if (shard.window != nullptr) {
-      for (int i = 0; i < kWindowEpochs; ++i) {
-        shard.window[i].hist.Clear();
-        shard.window[i].epoch_id = kNoEpoch;
-      }
-    }
     shard.lock.unlock();
   }
 }
@@ -232,64 +200,79 @@ size_t Registry::MetricCountForTesting() const {
 
 namespace {
 
-void MergeInto(std::map<std::string, MetricSnapshot>& out,
-               const Metric& metric) {
-  auto [it, inserted] = out.try_emplace(metric.name());
-  MetricSnapshot& snap = it->second;
-  if (inserted) {
-    snap.name = metric.name();
-    snap.kind = metric.kind();
-  } else if (snap.kind != metric.kind()) {
-    return;  // same name, different kind: keep the first
-  }
+MetricSnapshot SnapshotOf(const Metric& metric) {
+  MetricSnapshot snap;
+  snap.name = metric.name();
+  snap.kind = metric.kind();
   switch (metric.kind()) {
     case Metric::Kind::kCounter:
-      snap.counter += static_cast<const Counter&>(metric).value();
+      snap.counter = static_cast<const Counter&>(metric).value();
       break;
     case Metric::Kind::kGauge:
-      snap.gauge += static_cast<const Gauge&>(metric).value();
+      snap.gauge = static_cast<const Gauge&>(metric).value();
       break;
-    case Metric::Kind::kHistogram: {
-      const auto& hist = static_cast<const LatencyHistogram&>(metric);
-      snap.hist.Merge(hist.Snapshot());
-      snap.window.Merge(hist.WindowSnapshot());
+    case Metric::Kind::kHistogram:
+      snap.hist = static_cast<const LatencyHistogram&>(metric).Snapshot();
       break;
-    }
     case Metric::Kind::kSpan: {
       const auto& span = static_cast<const SpanStat&>(metric);
-      snap.hist.Merge(span.SelfSnapshot());
-      snap.window.Merge(span.SelfWindowSnapshot());
-      snap.span_total_ns += span.total_ns();
-      snap.span_self_ns += span.self_ns();
-      snap.span_cpu_ns += span.cpu_ns();
-      snap.span_lock_wait_ns += span.lock_wait_ns();
-      snap.span_rpc_wait_ns += span.rpc_wait_ns();
-      snap.span_other_wait_ns += span.other_wait_ns();
+      snap.hist = span.SelfSnapshot();
+      snap.span_total_ns = span.total_ns();
+      snap.span_self_ns = span.self_ns();
+      snap.span_cpu_ns = span.cpu_ns();
+      snap.span_lock_wait_ns = span.lock_wait_ns();
+      snap.span_rpc_wait_ns = span.rpc_wait_ns();
+      snap.span_other_wait_ns = span.other_wait_ns();
       break;
     }
   }
+  return snap;
 }
 
 }  // namespace
 
-std::vector<MetricSnapshot> Registry::Collect() const {
-  RegistryState& state = State();
-  std::map<std::string, MetricSnapshot> merged;
-  {
-    std::lock_guard lock(state.mu);
-    for (const auto& [name, metric] : state.interned) {
-      MergeInto(merged, *metric);
+std::vector<MetricSnapshot> MergeByName(std::vector<MetricSnapshot> rows) {
+  // Index by name rather than merging into map values, so each row (an
+  // 8 KiB histogram) is copied once, into the output.
+  std::map<std::string, MetricSnapshot*> first;
+  for (MetricSnapshot& row : rows) {
+    auto [it, inserted] = first.try_emplace(row.name, &row);
+    MetricSnapshot& dst = *it->second;
+    if (inserted || dst.kind != row.kind) {
+      continue;  // a new name, or a kind clash: the first row's kind wins
     }
-    for (const Metric* metric : state.instances) {
-      MergeInto(merged, *metric);
-    }
+    dst.counter += row.counter;
+    dst.gauge += row.gauge;
+    dst.hist.Merge(row.hist);
+    dst.span_total_ns += row.span_total_ns;
+    dst.span_self_ns += row.span_self_ns;
+    dst.span_cpu_ns += row.span_cpu_ns;
+    dst.span_lock_wait_ns += row.span_lock_wait_ns;
+    dst.span_rpc_wait_ns += row.span_rpc_wait_ns;
+    dst.span_other_wait_ns += row.span_other_wait_ns;
   }
   std::vector<MetricSnapshot> out;
-  out.reserve(merged.size());
-  for (auto& [name, snap] : merged) {
-    out.push_back(std::move(snap));
+  out.reserve(first.size());
+  for (auto& [name, row] : first) {
+    out.push_back(std::move(*row));
   }
   return out;
+}
+
+std::vector<MetricSnapshot> Registry::Collect() const {
+  RegistryState& state = State();
+  std::vector<MetricSnapshot> rows;
+  {
+    std::lock_guard lock(state.mu);
+    rows.reserve(state.interned.size() + state.instances.size());
+    for (const auto& [name, metric] : state.interned) {
+      rows.push_back(SnapshotOf(*metric));
+    }
+    for (const Metric* metric : state.instances) {
+      rows.push_back(SnapshotOf(*metric));
+    }
+  }
+  return MergeByName(std::move(rows));
 }
 
 void Registry::ResetAll() {
@@ -448,30 +431,14 @@ WriteAmpReport LocalWriteAmp() {
 // ---------------------------------------------------------------------------
 // Exporters
 
-namespace {
-
-const char* ModeName(Mode mode) {
-  switch (mode) {
-    case Mode::kOff:
-      return "off";
-    case Mode::kCounters:
-      return "counters";
-    case Mode::kSpans:
-      return "spans";
+double LayerRow::WaitPct() const {
+  const uint64_t wait_ns = lock_wait_ns + rpc_wait_ns + other_wait_ns;
+  if (self_ns == 0) {
+    return wait_ns != 0 ? 100.0 : 0.0;
   }
-  return "?";
+  return std::min(100.0, 100.0 * static_cast<double>(wait_ns) /
+                             static_cast<double>(self_ns));
 }
-
-struct LayerRow {
-  std::string layer;
-  uint64_t spans = 0;
-  uint64_t self_ns = 0;
-  uint64_t total_ns = 0;
-  uint64_t cpu_ns = 0;
-  uint64_t lock_wait_ns = 0;
-  uint64_t rpc_wait_ns = 0;
-  uint64_t other_wait_ns = 0;
-};
 
 std::vector<LayerRow> LayerRows(const std::vector<MetricSnapshot>& snaps) {
   std::map<std::string, LayerRow> layers;
@@ -491,6 +458,7 @@ std::vector<LayerRow> LayerRows(const std::vector<MetricSnapshot>& snaps) {
     row.lock_wait_ns += snap.span_lock_wait_ns;
     row.rpc_wait_ns += snap.span_rpc_wait_ns;
     row.other_wait_ns += snap.span_other_wait_ns;
+    row.self.Merge(snap.hist);
   }
   std::vector<LayerRow> out;
   out.reserve(layers.size());
@@ -499,8 +467,6 @@ std::vector<LayerRow> LayerRows(const std::vector<MetricSnapshot>& snaps) {
   }
   return out;
 }
-
-}  // namespace
 
 std::string DumpText() {
   const auto snaps = Registry::Instance().Collect();
@@ -540,7 +506,7 @@ std::string DumpJson() {
   const auto snaps = Registry::Instance().Collect();
   // schema_version pins the dump layout for downstream parsers (the bench
   // harness and EXPERIMENTS tooling); bump it when sections change shape.
-  std::string out = "{\"schema_version\":1,\"mode\":\"";
+  std::string out = "{\"schema_version\":2,\"mode\":\"";
   out += ModeName(CurrentMode());
   out += "\"";
   char buf[384];
@@ -622,25 +588,6 @@ std::string DumpJson() {
   }
   out += "}";
 
-  // Rolling-window tails for every histogram/span that saw samples inside
-  // the window (additive section; absent rows simply aged out).
-  out += ",\"windows\":{";
-  first = true;
-  for (const MetricSnapshot& snap : snaps) {
-    if ((snap.kind != Metric::Kind::kHistogram &&
-         snap.kind != Metric::Kind::kSpan) ||
-        snap.window.count() == 0) {
-      continue;
-    }
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "\"" + JsonEscape(snap.name) + "\":";
-    out += snap.window.ToJson();
-  }
-  out += "}";
-
   // Per-layer SCM media traffic vs logical API bytes (DESIGN.md §9.3).
   const WriteAmpReport amp = LocalWriteAmp();
   std::snprintf(buf, sizeof(buf),
@@ -686,16 +633,6 @@ std::string LayerBreakdownText() {
     total_self += row.self_ns;
   }
   for (const LayerRow& row : rows) {
-    const uint64_t wait_ns =
-        row.lock_wait_ns + row.rpc_wait_ns + row.other_wait_ns;
-    // Wait is charged against the span that blocked (its *self* region), so
-    // wait/self is the fraction of this layer's own time spent off-CPU;
-    // clamp for cross-thread rounding.
-    const double wait_pct =
-        row.self_ns > 0
-            ? std::min(100.0, 100.0 * static_cast<double>(wait_ns) /
-                                  static_cast<double>(row.self_ns))
-            : 0.0;
     std::snprintf(
         buf, sizeof(buf),
         "%-12s %12llu %14.2f %14.2f %10.2f %10.2f %10.2f %10.2f %5.1f%%\n",
@@ -708,7 +645,7 @@ std::string LayerBreakdownText() {
             : 0.0,
         static_cast<double>(row.cpu_ns) / 1e6,
         static_cast<double>(row.lock_wait_ns) / 1e6,
-        static_cast<double>(row.rpc_wait_ns) / 1e6, wait_pct);
+        static_cast<double>(row.rpc_wait_ns) / 1e6, row.WaitPct());
     out += buf;
   }
   std::snprintf(buf, sizeof(buf), "%-12s %12s %14.2f\n", "(sum)", "",

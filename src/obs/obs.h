@@ -43,7 +43,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,8 +64,8 @@ namespace detail {
 // is no static-init-order hazard. First reader parses the environment.
 inline std::atomic<int> g_mode{-1};
 int InitModeFromEnv();  // parses AERIE_OBS, stores and returns the mode
-// Idempotent process-telemetry attach (shm publisher / sigdump / dump-file;
-// defined in telemetry.cc, invoked from InitModeFromEnv).
+// Idempotent process-telemetry attach (shm publisher, SIGUSR1 sigdump and
+// sampling profiler; defined in telemetry.cc, invoked from InitModeFromEnv).
 void StartProcessTelemetryOnce();
 }  // namespace detail
 
@@ -82,6 +81,8 @@ inline Mode CurrentMode() { return static_cast<Mode>(ModeRaw()); }
 void SetMode(Mode mode);
 // Parses "off"/"counters"/"spans" (anything else -> kCounters).
 Mode ParseMode(std::string_view text);
+// "off", "counters" or "spans".
+const char* ModeName(Mode mode);
 
 // The single-branch gates every hot path uses.
 inline bool CountersOn() {
@@ -179,35 +180,12 @@ inline uint32_t ThreadShardId() {
   return id;
 }
 
-// Length of one rolling-window sub-epoch in nanoseconds: the window spans
-// kWindowEpochs of these (kWindowSeconds total) unless
-// SetWindowEpochNanosForTesting overrides it.
-uint64_t WindowEpochNanos();
-
 }  // namespace detail
-
-// Number of sub-epochs in a rolling histogram window. A WindowSnapshot
-// merges the most recent kWindowEpochs epochs (including the in-progress
-// one), so tails reflect roughly the last kWindowSeconds seconds rather
-// than the process lifetime.
-inline constexpr int kWindowEpochs = 8;
-inline constexpr uint64_t kWindowSeconds = 10;
-
-// Overrides the sub-epoch length (0 restores the kWindowSeconds default).
-// Tests drive rotation with a synthetic clock through this plus
-// RecordAtForTesting/WindowSnapshotAt.
-void SetWindowEpochNanosForTesting(uint64_t ns);
 
 // aerie::Histogram sharded across threads. Recording locks one shard
 // spinlock; threads map to shards by a dense thread id, so the lock is
-// uncontended unless thread count far exceeds kShards.
-//
-// Each shard additionally keeps a rotating window of kWindowEpochs
-// sub-epoch histograms (allocated lazily on the shard's first record, so
-// idle histograms cost nothing): a record lands in the epoch slot derived
-// from its timestamp, reusing — and first clearing — slots whose epoch has
-// expired. WindowSnapshot merges the epochs that are still inside the
-// window, which is what makes "p99 over the last ~10 s" cheap to answer.
+// uncontended unless thread count far exceeds kShards. Tails over a recent
+// interval come from differencing two snapshots (telemetry.h).
 class LatencyHistogram final : public Metric {
  public:
   explicit LatencyHistogram(std::string name)
@@ -215,51 +193,21 @@ class LatencyHistogram final : public Metric {
 
   void Record(uint64_t value) {
     if (CountersOn()) {
-      RecordAlways(value, NowNanos());
+      RecordAlways(value);
     }
   }
 
   // Merged lifetime view across shards.
   Histogram Snapshot() const;
-  // Merged view of the rolling window: samples from the most recent
-  // kWindowEpochs sub-epochs (including the in-progress one).
-  Histogram WindowSnapshot() const { return WindowSnapshotAt(NowNanos()); }
-  Histogram WindowSnapshotAt(uint64_t now_ns) const;
   void Reset() override;
-
-  // Test hook: record with an explicit timestamp (drives window rotation
-  // deterministically together with SetWindowEpochNanosForTesting).
-  void RecordAtForTesting(uint64_t value, uint64_t now_ns) {
-    RecordAlways(value, now_ns);
-  }
 
  private:
   friend class SpanStat;
 
-  static constexpr uint64_t kNoEpoch = ~uint64_t{0};
-
-  struct WindowEpoch {
-    uint64_t epoch_id = kNoEpoch;
-    Histogram hist;
-  };
-
-  void RecordAlways(uint64_t value, uint64_t now_ns) {
+  void RecordAlways(uint64_t value) {
     Shard& shard = shards_[detail::ThreadShardId() % kShards];
-    const uint64_t epoch_id = now_ns / detail::WindowEpochNanos();
     shard.lock.lock();
     shard.hist.Record(value);
-    if (shard.window == nullptr) {
-      shard.window = std::make_unique<WindowEpoch[]>(kWindowEpochs);
-    }
-    WindowEpoch& epoch =
-        shard.window[epoch_id % static_cast<uint64_t>(kWindowEpochs)];
-    if (epoch.epoch_id != epoch_id) {
-      // Rotation: this slot last held an epoch that has left the window
-      // (or was never used); retire its samples before reuse.
-      epoch.hist.Clear();
-      epoch.epoch_id = epoch_id;
-    }
-    epoch.hist.Record(value);
     shard.lock.unlock();
   }
 
@@ -267,7 +215,6 @@ class LatencyHistogram final : public Metric {
   struct alignas(64) Shard {
     mutable detail::SpinLock lock;
     Histogram hist;
-    std::unique_ptr<WindowEpoch[]> window;  // lazy; kWindowEpochs entries
   };
   mutable std::array<Shard, kShards> shards_;
 };
@@ -291,13 +238,11 @@ class SpanStat final : public Metric {
   explicit SpanStat(std::string name)
       : Metric(std::move(name), Kind::kSpan), self_hist_(std::string()) {}
 
-  // end_ns stamps the sample into the rolling window (callers that already
-  // read the clock — ScopedSpan — pass their end timestamp; 0 reads it).
-  void Record(uint64_t total_ns, uint64_t self_ns, uint64_t end_ns = 0) {
+  void Record(uint64_t total_ns, uint64_t self_ns) {
     count_.fetch_add(1, std::memory_order_relaxed);
     total_ns_.fetch_add(total_ns, std::memory_order_relaxed);
     self_ns_.fetch_add(self_ns, std::memory_order_relaxed);
-    self_hist_.RecordAlways(self_ns, end_ns != 0 ? end_ns : NowNanos());
+    self_hist_.RecordAlways(self_ns);
   }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -308,9 +253,6 @@ class SpanStat final : public Metric {
   // Exclusive wall time (child spans subtracted).
   uint64_t self_ns() const { return self_ns_.load(std::memory_order_relaxed); }
   Histogram SelfSnapshot() const { return self_hist_.Snapshot(); }
-  // Rolling-window view of self time (same window semantics as
-  // LatencyHistogram::WindowSnapshot).
-  Histogram SelfWindowSnapshot() const { return self_hist_.WindowSnapshot(); }
 
   // CPU time attributed by the sampling profiler (period_ns per SIGPROF
   // sample landing while this span was innermost on some thread) and
@@ -430,8 +372,8 @@ class ScopedSpan {
     if (frame_.parent != nullptr) {
       frame_.parent->child_ns += total;
     }
-    frame_.stat->Record(
-        total, total >= frame_.child_ns ? total - frame_.child_ns : 0, end_ns);
+    frame_.stat->Record(total,
+                        total >= frame_.child_ns ? total - frame_.child_ns : 0);
     detail::TraceSpanEnd(frame_, end_ns);
   }
 
@@ -465,14 +407,14 @@ class ScopedWait {
   WaitKind kind_ = WaitKind::kOther;
 };
 
-// One row of an exporter snapshot; same-named instance metrics are merged.
+// One row of a metric snapshot: what Registry::Collect exports, what a
+// telemetry segment carries, and what every text/JSON view reads.
 struct MetricSnapshot {
   std::string name;
-  Metric::Kind kind;
+  Metric::Kind kind = Metric::Kind::kCounter;
   uint64_t counter = 0;    // kCounter
   int64_t gauge = 0;       // kGauge
   Histogram hist;          // kHistogram (values), kSpan (self time)
-  Histogram window;        // rolling-window view of `hist` (same kinds)
   uint64_t span_total_ns = 0;
   uint64_t span_self_ns = 0;
   // Profiler plane (DESIGN.md §9.4): sampled CPU + attributed off-CPU wait.
@@ -481,6 +423,33 @@ struct MetricSnapshot {
   uint64_t span_rpc_wait_ns = 0;
   uint64_t span_other_wait_ns = 0;
 };
+
+// Merges same-named rows, sorted by name: counters, gauges and span sums
+// add, histograms merge; where kinds clash the first row's kind wins. The
+// one merge behind Registry::Collect (instances of one name) and
+// MergeTelemetry (one name across processes).
+std::vector<MetricSnapshot> MergeByName(std::vector<MetricSnapshot> rows);
+
+// Span totals for one layer: the spans whose name starts with `layer.`.
+struct LayerRow {
+  std::string layer;
+  uint64_t spans = 0;
+  uint64_t self_ns = 0;
+  uint64_t total_ns = 0;
+  uint64_t cpu_ns = 0;
+  uint64_t lock_wait_ns = 0;
+  uint64_t rpc_wait_ns = 0;
+  uint64_t other_wait_ns = 0;
+  Histogram self;  // merged self-time histogram of the layer's spans
+
+  // Share of the layer's self time spent off-CPU. Wait is charged to the
+  // span that blocked (its self region), and a wait that spans child-span
+  // exits can exceed self time, so the share clamps at 100; waits with no
+  // self time at all read 100.
+  double WaitPct() const;
+};
+// Layer rows of the span rows in `snaps` that saw samples, sorted by layer.
+std::vector<LayerRow> LayerRows(const std::vector<MetricSnapshot>& snaps);
 
 class Registry {
  public:
@@ -497,8 +466,8 @@ class Registry {
   void Register(Metric* metric);
   void Unregister(Metric* metric);
 
-  // Aggregated snapshot, sorted by name; same-named metrics are merged
-  // (counters/gauges summed, histograms merged).
+  // Aggregated snapshot, sorted by name; same-named metrics are merged by
+  // MergeByName.
   std::vector<MetricSnapshot> Collect() const;
 
   // Zeroes every live metric (bench epochs).
@@ -540,10 +509,10 @@ class ScopedRegistration {
 
 // Human-readable dump of every metric, sorted by name.
 std::string DumpText();
-// One JSON object: {"schema_version":1, "mode":..., "counters":{...},
+// One JSON object: {"schema_version":2, "mode":..., "counters":{...},
 // "gauges":{...}, "histograms":{name: summary...}, "spans":{...},
-// "layers":{...}} where "layers" aggregates span self-time by the `layer`
-// name prefix. schema_version is bumped whenever a section changes shape.
+// "layers":{...}, "write_amp":{...}} where "layers" holds the LayerRows.
+// schema_version is bumped whenever a section changes shape.
 std::string DumpJson();
 // Per-layer table (layer, spans, self ms, mean self us) from span data.
 std::string LayerBreakdownText();

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <thread>
 
@@ -74,20 +73,16 @@ constexpr int kEntKind = kEntNameWords + 0;
 constexpr int kEntValue = kEntNameWords + 1;
 constexpr int kEntSpanTotal = kEntNameWords + 2;
 constexpr int kEntSpanSelf = kEntNameWords + 3;
-// Format v2: the profiler plane's per-span CPU/off-CPU decomposition.
+// The profiler plane's per-span CPU/off-CPU decomposition.
 constexpr int kEntSpanCpu = kEntNameWords + 4;
 constexpr int kEntSpanLockWait = kEntNameWords + 5;
 constexpr int kEntSpanRpcWait = kEntNameWords + 6;
 constexpr int kEntSpanOtherWait = kEntNameWords + 7;
-constexpr int kEntCumCount = kEntNameWords + 8;
-constexpr int kEntCumSum = kEntNameWords + 9;
-constexpr int kEntCumMin = kEntNameWords + 10;
-constexpr int kEntCumMax = kEntNameWords + 11;
-constexpr int kEntWinCount = kEntNameWords + 12;
-constexpr int kEntWinSum = kEntNameWords + 13;
-constexpr int kEntWinMin = kEntNameWords + 14;
-constexpr int kEntWinMax = kEntNameWords + 15;
-constexpr int kEntBucketSlot = kEntNameWords + 16;
+constexpr int kEntHistCount = kEntNameWords + 8;
+constexpr int kEntHistSum = kEntNameWords + 9;
+constexpr int kEntHistMin = kEntNameWords + 10;
+constexpr int kEntHistMax = kEntNameWords + 11;
+constexpr int kEntBucketSlot = kEntNameWords + 12;
 static_assert(kEntBucketSlot + 1 == kTelemetryEntryWords,
               "entry layout must fill kTelemetryEntryWords exactly");
 
@@ -195,21 +190,16 @@ void TelemetryPublisher::PublishNow() {
         ent[kEntSpanLockWait] = snap.span_lock_wait_ns;
         ent[kEntSpanRpcWait] = snap.span_rpc_wait_ns;
         ent[kEntSpanOtherWait] = snap.span_other_wait_ns;
-        ent[kEntCumCount] = snap.hist.count();
-        ent[kEntCumSum] = snap.hist.sum();
-        ent[kEntCumMin] = snap.hist.min();
-        ent[kEntCumMax] = snap.hist.max();
-        ent[kEntWinCount] = snap.window.count();
-        ent[kEntWinSum] = snap.window.sum();
-        ent[kEntWinMin] = snap.window.min();
-        ent[kEntWinMax] = snap.window.max();
+        ent[kEntHistCount] = snap.hist.count();
+        ent[kEntHistSum] = snap.hist.sum();
+        ent[kEntHistMin] = snap.hist.min();
+        ent[kEntHistMax] = snap.hist.max();
         if (hist_count < kTelemetryHistCapacity) {
           ent[kEntBucketSlot] = hist_count;
           uint64_t* blob = staging_.data() + bucket_base +
                            hist_count * kTelemetryBucketWords;
           for (int i = 0; i < Histogram::kBuckets; ++i) {
             blob[i] = snap.hist.bucket_count(i);
-            blob[Histogram::kBuckets + i] = snap.window.bucket_count(i);
           }
           ++hist_count;
         } else {
@@ -234,8 +224,6 @@ void TelemetryPublisher::PublishNow() {
   hdr[kHdrEntryCount] = entry_count;
   hdr[kHdrEntryCapacity] = kTelemetryEntryCapacity;
   hdr[kHdrHistCapacity] = kTelemetryHistCapacity;
-  hdr[kHdrWindowEpochNs] = detail::WindowEpochNanos();
-  hdr[kHdrWindowEpochs] = static_cast<uint64_t>(kWindowEpochs);
   hdr[kHdrPublishCount] = publish_count_;
   hdr[kHdrDroppedEntries] = dropped_entries;
   hdr[kHdrDroppedHists] = dropped_hists;
@@ -274,7 +262,6 @@ bool ParseSnapshot(const std::vector<uint64_t>& w, TelemetrySnapshot* out) {
   out->publish_unix_ns = w[kHdrPublishUnixNs];
   out->publish_mono_ns = w[kHdrPublishMonoNs];
   out->publish_count = w[kHdrPublishCount];
-  out->window_epoch_ns = w[kHdrWindowEpochNs];
   out->dropped_entries = w[kHdrDroppedEntries];
   out->dropped_hists = w[kHdrDroppedHists];
   out->mode = static_cast<Mode>(
@@ -290,7 +277,7 @@ bool ParseSnapshot(const std::vector<uint64_t>& w, TelemetrySnapshot* out) {
   for (uint64_t e = 0; e < entry_count; ++e) {
     const uint64_t* ent =
         w.data() + kTelemetryHeaderWords + e * kTelemetryEntryWords;
-    TelemetryMetric m;
+    MetricSnapshot m;
     m.name = UnpackString(ent, kTelemetryNameBytes);
     if (m.name.empty() || ent[kEntKind] > 3) {
       return false;  // torn or corrupt entry that slipped past the seqlock
@@ -311,27 +298,19 @@ bool ParseSnapshot(const std::vector<uint64_t>& w, TelemetrySnapshot* out) {
         m.span_lock_wait_ns = ent[kEntSpanLockWait];
         m.span_rpc_wait_ns = ent[kEntSpanRpcWait];
         m.span_other_wait_ns = ent[kEntSpanOtherWait];
+        // A dropped blob leaves the exact scalars with no buckets.
         const uint64_t slot = ent[kEntBucketSlot];
-        const uint64_t* cum_buckets = nullptr;
-        const uint64_t* win_buckets = nullptr;
+        const uint64_t* buckets = nullptr;
         if (slot != kTelemetryNoBucketSlot) {
           if (slot >= hist_count) {
             return false;
           }
-          const uint64_t* blob =
-              w.data() + bucket_base + slot * kTelemetryBucketWords;
-          cum_buckets = blob;
-          win_buckets = blob + Histogram::kBuckets;
-          m.has_hist = true;
+          buckets = w.data() + bucket_base + slot * kTelemetryBucketWords;
         }
-        m.cumulative.MergeSerialized(
-            cum_buckets, cum_buckets != nullptr ? Histogram::kBuckets : 0,
-            ent[kEntCumCount], ent[kEntCumSum], ent[kEntCumMin],
-            ent[kEntCumMax]);
-        m.window.MergeSerialized(
-            win_buckets, win_buckets != nullptr ? Histogram::kBuckets : 0,
-            ent[kEntWinCount], ent[kEntWinSum], ent[kEntWinMin],
-            ent[kEntWinMax]);
+        m.hist.MergeSerialized(
+            buckets, buckets != nullptr ? Histogram::kBuckets : 0,
+            ent[kEntHistCount], ent[kEntHistSum], ent[kEntHistMin],
+            ent[kEntHistMax]);
         break;
       }
     }
@@ -458,38 +437,53 @@ std::vector<TelemetrySnapshot> ReadTelemetryDir(const std::string& dir,
   return out;
 }
 
-std::vector<TelemetryMetric> MergeTelemetry(
+std::vector<MetricSnapshot> MergeTelemetry(
     const std::vector<TelemetrySnapshot>& snapshots) {
-  std::map<std::string, TelemetryMetric> merged;
+  std::vector<MetricSnapshot> rows;
   for (const TelemetrySnapshot& snap : snapshots) {
-    for (const TelemetryMetric& m : snap.metrics) {
-      auto [it, inserted] = merged.try_emplace(m.name);
-      TelemetryMetric& dst = it->second;
-      if (inserted) {
-        dst.name = m.name;
-        dst.kind = m.kind;
-      } else if (dst.kind != m.kind) {
-        continue;  // same name, different kind across processes: keep first
+    rows.insert(rows.end(), snap.metrics.begin(), snap.metrics.end());
+  }
+  return MergeByName(std::move(rows));
+}
+
+std::vector<MetricSnapshot> IntervalTelemetry(
+    const std::vector<TelemetrySnapshot>& prev,
+    const std::vector<TelemetrySnapshot>& cur) {
+  std::vector<MetricSnapshot> rows;
+  for (const TelemetrySnapshot& snap : cur) {
+    const auto before = std::find_if(
+        prev.begin(), prev.end(),
+        [&](const TelemetrySnapshot& p) { return p.pid == snap.pid; });
+    for (MetricSnapshot m : snap.metrics) {
+      const MetricSnapshot* p = nullptr;
+      if (before != prev.end()) {
+        // Both metric lists are sorted by name within a process.
+        const auto it = std::lower_bound(
+            before->metrics.begin(), before->metrics.end(), m.name,
+            [](const MetricSnapshot& a, const std::string& name) {
+              return a.name < name;
+            });
+        if (it != before->metrics.end() && it->name == m.name &&
+            it->kind == m.kind) {
+          p = &*it;
+        }
       }
-      dst.counter += m.counter;
-      dst.gauge += m.gauge;
-      dst.span_total_ns += m.span_total_ns;
-      dst.span_self_ns += m.span_self_ns;
-      dst.span_cpu_ns += m.span_cpu_ns;
-      dst.span_lock_wait_ns += m.span_lock_wait_ns;
-      dst.span_rpc_wait_ns += m.span_rpc_wait_ns;
-      dst.span_other_wait_ns += m.span_other_wait_ns;
-      dst.has_hist = dst.has_hist || m.has_hist;
-      dst.cumulative.Merge(m.cumulative);
-      dst.window.Merge(m.window);
+      if (p != nullptr && m.counter >= p->counter &&
+          m.hist.count() >= p->hist.count()) {
+        auto minus = [](uint64_t& a, uint64_t b) { a -= std::min(a, b); };
+        minus(m.counter, p->counter);
+        minus(m.span_total_ns, p->span_total_ns);
+        minus(m.span_self_ns, p->span_self_ns);
+        minus(m.span_cpu_ns, p->span_cpu_ns);
+        minus(m.span_lock_wait_ns, p->span_lock_wait_ns);
+        minus(m.span_rpc_wait_ns, p->span_rpc_wait_ns);
+        minus(m.span_other_wait_ns, p->span_other_wait_ns);
+        m.hist.Subtract(p->hist);
+      }
+      rows.push_back(std::move(m));
     }
   }
-  std::vector<TelemetryMetric> out;
-  out.reserve(merged.size());
-  for (auto& [name, m] : merged) {
-    out.push_back(std::move(m));
-  }
-  return out;
+  return MergeByName(std::move(rows));
 }
 
 // ---------------------------------------------------------------------------

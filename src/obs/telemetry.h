@@ -1,12 +1,12 @@
 // Live telemetry plane: shared-memory metrics export + cross-process reader.
 //
 // Every Aerie process (TFS, lock service, clients, benches) publishes its
-// obs registry — counters, gauges, histogram buckets, span self-times, and
-// their rolling-window views — into one per-process shared-memory segment
-// (`<dir>/aerie.obs.<pid>`, dir defaults to /dev/shm). Readers (aerie_top,
-// the CI smoke test) discover segments by prefix scan, merge same-named
-// metrics across processes, and compute interval rates and window tails
-// while the system runs. DESIGN.md §9.3 documents the layout and protocol.
+// obs registry — counters, gauges, histogram buckets and span self-times —
+// into one per-process shared-memory segment (`<dir>/aerie.obs.<pid>`, dir
+// defaults to /dev/shm). Readers (aerie_top, the CI smoke test) discover
+// segments by prefix scan, merge same-named metrics across processes, and
+// difference two reads for interval rates and tails while the system runs.
+// DESIGN.md §9.3 documents the layout and protocol.
 //
 // Concurrency: the segment is seqlock-versioned. The publisher bumps the
 // sequence word to odd, rewrites the payload, and bumps it to even; it
@@ -36,24 +36,23 @@
 namespace aerie {
 namespace obs {
 
-// --- Segment format (format_version 2) -------------------------------------
-// The segment is an array of 64-bit words. Word 0..31 are the header,
+// --- Segment format (format_version 3) -------------------------------------
+// The segment is an array of 64-bit words. Words 0..23 are the header,
 // followed by `entry_capacity` fixed-size entries and `hist_capacity`
-// bucket blobs (one blob = cumulative + window raw bucket arrays). Strings
+// bucket blobs (one blob = one histogram's raw bucket array). Strings
 // (metric names, process name) are NUL-padded byte ranges inside words.
-// v2 widens span entries with the profiler plane's cpu/lock-wait/rpc-wait/
-// other-wait sums (readers reject mismatched versions, so mixed-version
-// processes simply don't merge).
+// Readers reject mismatched versions, so mixed-version processes simply
+// don't merge.
 
 inline constexpr uint64_t kTelemetryMagic = 0x53424f4549524541ull;  // AERIEOBS
-inline constexpr uint64_t kTelemetryFormatVersion = 2;
-inline constexpr int kTelemetryHeaderWords = 32;
+inline constexpr uint64_t kTelemetryFormatVersion = 3;
+inline constexpr int kTelemetryHeaderWords = 24;
 inline constexpr int kTelemetryNameBytes = 96;
 // name + kind + value + span_total + span_self + span cpu/lock/rpc/other +
-// 2x(count,sum,min,max) + bucket_slot.
+// count,sum,min,max + bucket_slot.
 inline constexpr int kTelemetryEntryWords =
-    kTelemetryNameBytes / 8 + 4 + 4 + 8 + 1;
-inline constexpr int kTelemetryBucketWords = 2 * Histogram::kBuckets;
+    kTelemetryNameBytes / 8 + 4 + 4 + 4 + 1;
+inline constexpr int kTelemetryBucketWords = Histogram::kBuckets;
 inline constexpr uint64_t kTelemetryEntryCapacity = 768;
 inline constexpr uint64_t kTelemetryHistCapacity = 160;
 inline constexpr uint64_t kTelemetryNoBucketSlot = ~uint64_t{0};
@@ -70,18 +69,16 @@ enum TelemetryHeaderWord : int {
   kHdrEntryCount = 7,
   kHdrEntryCapacity = 8,
   kHdrHistCapacity = 9,
-  kHdrWindowEpochNs = 10,
-  kHdrWindowEpochs = 11,
-  kHdrPublishCount = 12,
-  kHdrDroppedEntries = 13,
-  kHdrDroppedHists = 14,
-  kHdrMode = 15,
-  kHdrProcessName = 16,  // 64 bytes: words 16..23
+  kHdrPublishCount = 10,
+  kHdrDroppedEntries = 11,
+  kHdrDroppedHists = 12,
+  kHdrMode = 13,
   // The bucket-blob region starts right after the published entries (the
   // layout is rebuilt every publish, so only a used prefix of the segment
   // is ever written or read).
-  kHdrBucketBase = 24,  // word index of bucket blob 0
-  kHdrHistCount = 25,   // bucket blobs in use
+  kHdrBucketBase = 14,  // word index of bucket blob 0
+  kHdrHistCount = 15,   // bucket blobs in use
+  kHdrProcessName = 16,  // 64 bytes: words 16..23
 };
 inline constexpr int kTelemetryProcessNameBytes = 64;
 
@@ -139,23 +136,6 @@ class TelemetryPublisher {
 
 // --- Reader -----------------------------------------------------------------
 
-struct TelemetryMetric {
-  std::string name;
-  Metric::Kind kind = Metric::Kind::kCounter;
-  uint64_t counter = 0;
-  int64_t gauge = 0;
-  uint64_t span_total_ns = 0;
-  uint64_t span_self_ns = 0;
-  // Profiler plane (format v2): sampled CPU + attributed off-CPU waits.
-  uint64_t span_cpu_ns = 0;
-  uint64_t span_lock_wait_ns = 0;
-  uint64_t span_rpc_wait_ns = 0;
-  uint64_t span_other_wait_ns = 0;
-  bool has_hist = false;  // bucket blob present (histogram/span kinds)
-  Histogram cumulative;
-  Histogram window;
-};
-
 struct TelemetrySnapshot {
   uint64_t pid = 0;
   std::string process_name;
@@ -163,11 +143,10 @@ struct TelemetrySnapshot {
   uint64_t publish_unix_ns = 0;
   uint64_t publish_mono_ns = 0;
   uint64_t publish_count = 0;
-  uint64_t window_epoch_ns = 0;
   uint64_t dropped_entries = 0;
-  uint64_t dropped_hists = 0;
+  uint64_t dropped_hists = 0;  // entries published without bucket counts
   Mode mode = Mode::kOff;
-  std::vector<TelemetryMetric> metrics;  // sorted by name within a process
+  std::vector<MetricSnapshot> metrics;  // sorted by name within a process
 };
 
 // Seqlock-consistent snapshot of one segment. Returns false for segments
@@ -182,10 +161,18 @@ std::vector<TelemetrySnapshot> ReadTelemetryDir(const std::string& dir,
                                                 bool gc_dead,
                                                 int* gc_count = nullptr);
 
-// Merges same-named metrics across process snapshots: counters/gauges/span
-// sums add, histogram buckets (cumulative and window) merge. Sorted by name.
-std::vector<TelemetryMetric> MergeTelemetry(
+// Merges same-named metrics across process snapshots (obs::MergeByName).
+std::vector<MetricSnapshot> MergeTelemetry(
     const std::vector<TelemetrySnapshot>& snapshots);
+
+// What the processes recorded between two reads, merged across processes:
+// per pid and metric, `cur`'s counters, span sums and histogram buckets
+// minus `prev`'s (gauges keep their `cur` value). A metric whose count went
+// down (a registry reset), and every metric of a pid absent from `prev`,
+// counts whole. Interval tails are this result's histogram percentiles.
+std::vector<MetricSnapshot> IntervalTelemetry(
+    const std::vector<TelemetrySnapshot>& prev,
+    const std::vector<TelemetrySnapshot>& cur);
 
 // --- Process lifecycle ------------------------------------------------------
 
@@ -194,7 +181,7 @@ std::vector<TelemetryMetric> MergeTelemetry(
 TelemetryPublisher* ProcessTelemetryPublisher();
 
 // Synchronously runs one process-telemetry tick (publish + pending sigdump)
-// as the ticker thread would; exposed for tests and aerie_top --self.
+// as the ticker thread would; exposed for tests.
 void ProcessTelemetryTickForTesting();
 
 }  // namespace obs

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -318,7 +320,7 @@ TEST_F(ObsTest, DumpJsonContainsMetricsAndLayers) {
   }
   const std::string json = DumpJson();
   // Downstream parsers key on an explicit schema version, leading the dump.
-  EXPECT_EQ(json.rfind("{\"schema_version\":1,", 0), 0u);
+  EXPECT_EQ(json.rfind("{\"schema_version\":2,", 0), 0u);
   EXPECT_NE(json.find("\"test.json.counter\":3"), std::string::npos);
   EXPECT_NE(json.find("\"testlayer.op\""), std::string::npos);
   EXPECT_NE(json.find("\"layers\""), std::string::npos);
@@ -329,6 +331,32 @@ TEST_F(ObsTest, DumpJsonContainsMetricsAndLayers) {
 
   const std::string table = LayerBreakdownText();
   EXPECT_NE(table.find("testlayer"), std::string::npos);
+}
+
+// A layer that waited but has no self time reads the same wait% in the
+// text table as in LayerRows (the rows aerie_top and DumpJson print).
+TEST_F(ObsTest, LayerWaitPctAgreesForWaitsWithZeroSelfTime) {
+  SpanStat& span = Registry::Instance().GetSpan("waitonly.op");
+  span.Record(/*total_ns=*/0, /*self_ns=*/0);
+  span.AddWaitNs(WaitKind::kLock, 5'000);
+
+  const auto rows = LayerRows(Registry::Instance().Collect());
+  const auto it = std::find_if(rows.begin(), rows.end(), [](const auto& r) {
+    return r.layer == "waitonly";
+  });
+  ASSERT_NE(it, rows.end());
+  EXPECT_EQ(it->self_ns, 0u);
+  EXPECT_EQ(it->lock_wait_ns, 5'000u);
+  EXPECT_DOUBLE_EQ(it->WaitPct(), 100.0);
+
+  const std::string table = LayerBreakdownText();
+  const size_t line = table.find("\nwaitonly ");
+  ASSERT_NE(line, std::string::npos) << table;
+  const size_t end = table.find('\n', line + 1);
+  const std::string row = table.substr(line + 1, end - line - 1);
+  char pct[16];
+  std::snprintf(pct, sizeof(pct), "%5.1f%%", it->WaitPct());
+  EXPECT_EQ(row.substr(row.size() - std::strlen(pct)), pct) << row;
 }
 
 // JSON well-formedness (RFC 8259 grammar, no semantics): true when `s` is

@@ -1,6 +1,6 @@
 // Tests for the live telemetry plane (src/obs/telemetry.h): seqlock
-// publish/snapshot under concurrency, dead-pid segment GC, rolling-window
-// histogram rotation, and cross-process metric merging.
+// publish/snapshot under concurrency, dead-pid segment GC, cross-process
+// metric merging, and interval tails from two reads.
 //
 // The storm test is the TSan target (tools/check_tsan.sh builds the whole
 // tree with -fsanitize=thread): a writer thread hammers a counter and a
@@ -40,7 +40,14 @@ class TelemetryTest : public ::testing::Test {
   void TearDown() override {
     std::filesystem::remove_all(dir_);
     SetMode(prev_mode_);
-    SetWindowEpochNanosForTesting(0);
+  }
+
+  // Publishes the registry to this test's directory and reads it back.
+  TelemetrySnapshot PublishAndRead(TelemetryPublisher& pub) {
+    pub.PublishNow();
+    TelemetrySnapshot snap;
+    EXPECT_TRUE(ReadTelemetrySegment(pub.path(), &snap));
+    return snap;
   }
 
   std::string dir_;
@@ -71,7 +78,7 @@ TEST_F(TelemetryTest, PublishAndReadRoundTrip) {
 
   bool saw_counter = false;
   bool saw_hist = false;
-  for (const TelemetryMetric& m : snap.metrics) {
+  for (const MetricSnapshot& m : snap.metrics) {
     if (m.name == "telemetry.test.roundtrip") {
       saw_counter = true;
       EXPECT_EQ(m.kind, Metric::Kind::kCounter);
@@ -80,13 +87,16 @@ TEST_F(TelemetryTest, PublishAndReadRoundTrip) {
     if (m.name == "telemetry.test.lat") {
       saw_hist = true;
       EXPECT_EQ(m.kind, Metric::Kind::kHistogram);
-      EXPECT_TRUE(m.has_hist);
-      EXPECT_EQ(m.cumulative.count(), 2u);
-      EXPECT_EQ(m.cumulative.sum(), 3000u);
-      EXPECT_EQ(m.cumulative.min(), 1000u);
-      EXPECT_EQ(m.cumulative.max(), 2000u);
-      // Both samples are fresh, so the rolling window still holds them.
-      EXPECT_EQ(m.window.count(), 2u);
+      // The bucket blob made it across: its counts add up to the count.
+      uint64_t bucketed = 0;
+      for (int i = 0; i < Histogram::kBuckets; ++i) {
+        bucketed += m.hist.bucket_count(i);
+      }
+      EXPECT_EQ(bucketed, 2u);
+      EXPECT_EQ(m.hist.count(), 2u);
+      EXPECT_EQ(m.hist.sum(), 3000u);
+      EXPECT_EQ(m.hist.min(), 1000u);
+      EXPECT_EQ(m.hist.max(), 2000u);
     }
   }
   EXPECT_TRUE(saw_counter);
@@ -144,23 +154,21 @@ TEST_F(TelemetryTest, DeadPidSegmentGarbageCollected) {
 TEST_F(TelemetryTest, MergeAcrossSnapshots) {
   TelemetrySnapshot a;
   TelemetrySnapshot b;
-  TelemetryMetric ca;
+  MetricSnapshot ca;
   ca.name = "x.calls";
   ca.kind = Metric::Kind::kCounter;
   ca.counter = 10;
-  TelemetryMetric cb = ca;
+  MetricSnapshot cb = ca;
   cb.counter = 32;
   a.metrics.push_back(ca);
   b.metrics.push_back(cb);
 
-  TelemetryMetric ha;
+  MetricSnapshot ha;
   ha.name = "x.lat";
   ha.kind = Metric::Kind::kHistogram;
-  ha.cumulative.Record(100);
-  ha.window.Record(100);
-  TelemetryMetric hb = ha;
-  hb.cumulative.Record(300);
-  hb.window.Record(300);
+  ha.hist.Record(100);
+  MetricSnapshot hb = ha;
+  hb.hist.Record(300);
   a.metrics.push_back(ha);
   b.metrics.push_back(hb);
 
@@ -169,10 +177,9 @@ TEST_F(TelemetryTest, MergeAcrossSnapshots) {
   EXPECT_EQ(merged[0].name, "x.calls");
   EXPECT_EQ(merged[0].counter, 42u);
   EXPECT_EQ(merged[1].name, "x.lat");
-  EXPECT_EQ(merged[1].cumulative.count(), 3u);
-  EXPECT_EQ(merged[1].window.count(), 3u);
-  EXPECT_EQ(merged[1].cumulative.min(), 100u);
-  EXPECT_EQ(merged[1].cumulative.max(), 300u);
+  EXPECT_EQ(merged[1].hist.count(), 3u);
+  EXPECT_EQ(merged[1].hist.min(), 100u);
+  EXPECT_EQ(merged[1].hist.max(), 300u);
 }
 
 // The TSan storm: counter increments and histogram records race publishes
@@ -214,18 +221,15 @@ TEST_F(TelemetryTest, ConcurrentPublishSnapshotStorm) {
       continue;
     }
     ++accepted;
-    for (const TelemetryMetric& m : snap.metrics) {
+    for (const MetricSnapshot& m : snap.metrics) {
       if (m.name == "telemetry.storm.counter") {
         EXPECT_GE(m.counter, last_counter)
             << "counter moved backwards across accepted snapshots";
         last_counter = m.counter;
       }
-      if (m.name == "telemetry.storm.lat" && m.has_hist) {
-        if (m.cumulative.count() != 0) {
-          EXPECT_GE(m.cumulative.max(), m.cumulative.min());
-          EXPECT_GE(m.cumulative.sum(),
-                    m.cumulative.count() * m.cumulative.min());
-        }
+      if (m.name == "telemetry.storm.lat" && m.hist.count() != 0) {
+        EXPECT_GE(m.hist.max(), m.hist.min());
+        EXPECT_GE(m.hist.sum(), m.hist.count() * m.hist.min());
       }
     }
   }
@@ -236,107 +240,101 @@ TEST_F(TelemetryTest, ConcurrentPublishSnapshotStorm) {
   EXPECT_GT(last_counter, 0u);
 }
 
-// --- Rolling-window rotation ------------------------------------------------
+// --- Interval tails (IntervalTelemetry) ------------------------------------
 
-class WindowTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    prev_mode_ = CurrentMode();
-    SetMode(Mode::kCounters);
-    SetWindowEpochNanosForTesting(kEpochNs);
+const MetricSnapshot* Row(const std::vector<MetricSnapshot>& rows,
+                          const std::string& name) {
+  for (const MetricSnapshot& row : rows) {
+    if (row.name == name) {
+      return &row;
+    }
   }
-  void TearDown() override {
-    SetWindowEpochNanosForTesting(0);
-    SetMode(prev_mode_);
+  return nullptr;
+}
+
+TEST_F(TelemetryTest, IntervalExcludesSamplesBeforeThePreviousRead) {
+  LatencyHistogram& h =
+      Registry::Instance().GetHistogram("telemetry.interval.lat");
+  Counter& c = Registry::Instance().GetCounter("telemetry.interval.calls");
+  TelemetryPublisher::Options opt;
+  opt.dir = dir_;
+  auto pub = TelemetryPublisher::Create(opt);
+  ASSERT_NE(pub, nullptr);
+
+  for (int i = 0; i < 100; ++i) {
+    h.Record(1'000'000);  // before the first read: excluded
   }
-
-  static constexpr uint64_t kEpochNs = 1000;  // 1us epochs for the test
-  Mode prev_mode_ = Mode::kCounters;
-};
-
-TEST_F(WindowTest, EmptyWindow) {
-  LatencyHistogram h("win.empty");
-  EXPECT_EQ(h.WindowSnapshotAt(0).count(), 0u);
-  EXPECT_EQ(h.WindowSnapshotAt(123456789).count(), 0u);
-  EXPECT_EQ(h.Snapshot().count(), 0u);
-}
-
-TEST_F(WindowTest, SingleEpochHoldsSamples) {
-  LatencyHistogram h("win.single");
-  h.RecordAtForTesting(10, 100);
-  h.RecordAtForTesting(20, 900);
-  // Same epoch (0..999): both visible from inside the window.
-  Histogram w = h.WindowSnapshotAt(999);
-  EXPECT_EQ(w.count(), 2u);
-  EXPECT_EQ(w.sum(), 30u);
-  // Cumulative view always keeps them.
-  EXPECT_EQ(h.Snapshot().count(), 2u);
-}
-
-TEST_F(WindowTest, OldEpochsLeaveTheWindow) {
-  LatencyHistogram h("win.expire");
-  h.RecordAtForTesting(10, 500);  // epoch 0
-  // From epoch kWindowEpochs-1 the sample is still in the window...
-  EXPECT_EQ(
-      h.WindowSnapshotAt(static_cast<uint64_t>(kWindowEpochs - 1) * kEpochNs)
-          .count(),
-      1u);
-  // ...one epoch later it has rotated out, without any new record.
-  EXPECT_EQ(
-      h.WindowSnapshotAt(static_cast<uint64_t>(kWindowEpochs) * kEpochNs)
-          .count(),
-      0u);
-  // The lifetime view is unaffected.
-  EXPECT_EQ(h.Snapshot().count(), 1u);
-}
-
-TEST_F(WindowTest, RotationRetiresOldestSlotOnReuse) {
-  LatencyHistogram h("win.rotate");
-  h.RecordAtForTesting(10, 500);  // epoch 0, slot 0
-  // kWindowEpochs epochs later the same slot is reused; the old samples
-  // must be retired, not merged with the new ones.
-  const uint64_t reuse_ns = static_cast<uint64_t>(kWindowEpochs) * kEpochNs;
-  h.RecordAtForTesting(70, reuse_ns + 1);  // epoch kWindowEpochs, slot 0
-  Histogram w = h.WindowSnapshotAt(reuse_ns + 1);
-  EXPECT_EQ(w.count(), 1u);
-  EXPECT_EQ(w.sum(), 70u);
-  EXPECT_EQ(h.Snapshot().count(), 2u);
-}
-
-TEST_F(WindowTest, DistantEpochJumpsDropStaleSlots) {
-  LatencyHistogram h("win.jump");
-  h.RecordAtForTesting(10, 500);
-  // A very distant record (e.g. after an idle stretch) must see none of the
-  // stale slots even though their epoch_id % kWindowEpochs would collide.
-  const uint64_t far_ns = 1000 * kEpochNs + 500;
-  h.RecordAtForTesting(20, far_ns);
-  Histogram w = h.WindowSnapshotAt(far_ns);
-  EXPECT_EQ(w.count(), 1u);
-  EXPECT_EQ(w.sum(), 20u);
-}
-
-TEST_F(WindowTest, WindowMergesAcrossEpochsAndShards) {
-  LatencyHistogram h("win.merge");
-  // Spread records across several in-window epochs.
-  for (int e = 0; e < kWindowEpochs; ++e) {
-    h.RecordAtForTesting(100, static_cast<uint64_t>(e) * kEpochNs + 1);
+  c.Add(7);
+  const TelemetrySnapshot first = PublishAndRead(*pub);
+  for (int i = 0; i < 10; ++i) {
+    h.Record(1'000);
   }
-  const uint64_t now = static_cast<uint64_t>(kWindowEpochs - 1) * kEpochNs + 2;
-  EXPECT_EQ(h.WindowSnapshotAt(now).count(),
-            static_cast<uint64_t>(kWindowEpochs));
-  // Advancing one epoch drops exactly the oldest.
-  EXPECT_EQ(h.WindowSnapshotAt(now + kEpochNs).count(),
-            static_cast<uint64_t>(kWindowEpochs - 1));
+  c.Add(5);
+  const TelemetrySnapshot second = PublishAndRead(*pub);
+
+  const auto interval = IntervalTelemetry({first}, {second});
+  const MetricSnapshot* lat = Row(interval, "telemetry.interval.lat");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->hist.count(), 10u);
+  EXPECT_EQ(lat->hist.sum(), 10'000u);
+  // p50 and the bounds hold to bucket resolution (~1/16 relative).
+  EXPECT_NEAR(static_cast<double>(lat->hist.Percentile(50)), 1000.0, 64.0);
+  EXPECT_LE(lat->hist.max(), 1'100u);
+  EXPECT_GE(lat->hist.min(), 900u);
+  const MetricSnapshot* calls = Row(interval, "telemetry.interval.calls");
+  ASSERT_NE(calls, nullptr);
+  EXPECT_EQ(calls->counter, 5u);
 }
 
-TEST_F(WindowTest, ResetClearsWindow) {
-  LatencyHistogram h("win.reset");
-  h.RecordAtForTesting(10, 500);
-  h.Reset();
-  EXPECT_EQ(h.WindowSnapshotAt(600).count(), 0u);
-  EXPECT_EQ(h.Snapshot().count(), 0u);
-  h.RecordAtForTesting(30, 700);
-  EXPECT_EQ(h.WindowSnapshotAt(700).count(), 1u);
+TEST_F(TelemetryTest, IntervalAfterResetCountsTheCurrentHistogram) {
+  LatencyHistogram& h =
+      Registry::Instance().GetHistogram("telemetry.interval.reset");
+  TelemetryPublisher::Options opt;
+  opt.dir = dir_;
+  auto pub = TelemetryPublisher::Create(opt);
+  ASSERT_NE(pub, nullptr);
+
+  for (int i = 0; i < 50; ++i) {
+    h.Record(5'000);
+  }
+  const TelemetrySnapshot first = PublishAndRead(*pub);
+  Registry::Instance().ResetAll();
+  for (int i = 0; i < 3; ++i) {
+    h.Record(200);
+  }
+  const TelemetrySnapshot second = PublishAndRead(*pub);
+
+  const auto interval = IntervalTelemetry({first}, {second});
+  const MetricSnapshot* lat = Row(interval, "telemetry.interval.reset");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->hist.count(), 3u);
+  EXPECT_EQ(lat->hist.sum(), 600u);
+  EXPECT_EQ(lat->hist.min(), 200u);
+  EXPECT_EQ(lat->hist.max(), 200u);
+  EXPECT_EQ(lat->hist.Percentile(50), 200u);
+}
+
+TEST_F(TelemetryTest, IntervalCountsANewProcessWhole) {
+  MetricSnapshot lat;
+  lat.name = "x.lat";
+  lat.kind = Metric::Kind::kHistogram;
+  lat.hist.Record(100);
+  TelemetrySnapshot old_a;
+  old_a.pid = 1;
+  old_a.metrics.push_back(lat);
+  TelemetrySnapshot a = old_a;
+  a.metrics[0].hist.Record(100);  // one sample in the interval
+  TelemetrySnapshot b;  // only in the second read
+  b.pid = 2;
+  b.metrics.push_back(lat);
+  b.metrics[0].hist.Record(300);
+  b.metrics[0].hist.Record(300);
+
+  const auto interval = IntervalTelemetry({old_a}, {a, b});
+  ASSERT_EQ(interval.size(), 1u);
+  EXPECT_EQ(interval[0].hist.count(), 1u + 3u);
+  EXPECT_EQ(interval[0].hist.sum(), 100u + 700u);
+  EXPECT_EQ(interval[0].hist.Percentile(100), 300u);
 }
 
 // --- Write-amplification arithmetic ----------------------------------------

@@ -3,16 +3,15 @@
 // Discovers the per-process shared-memory telemetry segments
 // (`aerie.obs.<pid>`, see src/obs/telemetry.h) under /dev/shm (or
 // --dir/$AERIE_OBS_SHM_DIR), merges same-named metrics across processes,
-// and renders a refreshing table: per-layer rolling-window tail latencies
-// (p50/p95/p99 over roughly the last obs::kWindowSeconds seconds),
-// per-RPC-method interval rates, and the per-layer SCM write-amplification
-// breakdown. `--json` takes two samples and emits one machine-readable
-// document instead (validated by `tools/validate.py telemetry` in CI).
+// and renders a refreshing table: per-layer and per-RPC-method rates and
+// tail latencies (p50/p95/p99) over the refresh interval, and the per-layer
+// SCM write-amplification breakdown. `--json` takes two samples and emits
+// one machine-readable document instead (validated by `tools/validate.py
+// telemetry` in CI).
 //
-// Interval rates are counter deltas between consecutive samples divided by
-// the wall-clock elapsed; a registry reset mid-run (bench epochs call
-// obs::ResetAll) makes a delta negative, which is clamped to zero rather
-// than rendered as a huge unsigned rate.
+// Rates and tails come from obs::IntervalTelemetry, the difference between
+// consecutive samples; a process that reset its registry mid-interval
+// (bench epochs call obs::ResetAll) counts whole rather than negative.
 #include <unistd.h>
 
 #include <algorithm>
@@ -36,7 +35,7 @@ namespace aerie {
 namespace {
 
 using obs::JsonEscape;
-using obs::TelemetryMetric;
+using obs::MetricSnapshot;
 using obs::TelemetrySnapshot;
 
 struct Options {
@@ -106,92 +105,70 @@ std::string PrettyBytes(uint64_t b) {
   return buf;
 }
 
-std::string_view LayerOf(std::string_view name) {
-  const size_t dot = name.find('.');
-  return dot == std::string_view::npos ? name : name.substr(0, dot);
-}
-
-// One sample: the merged cross-process view plus what it was computed from.
+// One sample plus what changed since the previous one.
 struct Sample {
   uint64_t mono_ns = 0;
   std::vector<TelemetrySnapshot> processes;
-  std::vector<TelemetryMetric> merged;
-  std::map<std::string, uint64_t> counters;  // every counter, by name
+  std::vector<MetricSnapshot> merged;    // cumulative, across processes
+  std::vector<MetricSnapshot> interval;  // since the previous sample
+  double interval_s = 0;
 };
 
-Sample TakeSample(const Options& opt) {
+Sample TakeSample(const Options& opt, const Sample* prev) {
   Sample s;
   s.mono_ns = NowNanos();
   s.processes = obs::ReadTelemetryDir(opt.dir, opt.gc);
   s.merged = obs::MergeTelemetry(s.processes);
-  for (const TelemetryMetric& m : s.merged) {
-    if (m.kind == obs::Metric::Kind::kCounter) {
-      s.counters[m.name] = m.counter;
-    }
+  if (prev != nullptr) {
+    s.interval = obs::IntervalTelemetry(prev->processes, s.processes);
+    s.interval_s = static_cast<double>(s.mono_ns - prev->mono_ns) / 1e9;
   }
   return s;
 }
 
-// Counter delta per second between two samples, clamped at zero (registry
-// resets move counters backwards).
-double RatePerSec(const Sample& prev, const Sample& cur,
-                  const std::string& name) {
-  const double secs =
-      static_cast<double>(cur.mono_ns - prev.mono_ns) / 1e9;
-  if (secs <= 0) {
-    return 0;
-  }
-  const auto pit = prev.counters.find(name);
-  const auto cit = cur.counters.find(name);
-  const uint64_t p = pit != prev.counters.end() ? pit->second : 0;
-  const uint64_t c = cit != cur.counters.end() ? cit->second : 0;
-  return c >= p ? static_cast<double>(c - p) / secs : 0.0;
+// The row named `name` in a name-sorted snapshot, or null.
+const MetricSnapshot* Find(const std::vector<MetricSnapshot>& rows,
+                           std::string_view name) {
+  const auto it = std::lower_bound(
+      rows.begin(), rows.end(), name,
+      [](const MetricSnapshot& row, std::string_view n) {
+        return row.name < n;
+      });
+  return it != rows.end() && it->name == name ? &*it : nullptr;
 }
 
-// Per-layer aggregation of span metrics: exact self/total sums plus the
-// merged rolling-window self-time histogram and the profiler plane's
-// sampled-CPU / attributed-wait sums (format v2 span entries).
-struct LayerRow {
-  uint64_t spans = 0;
-  uint64_t self_ns = 0;
-  uint64_t total_ns = 0;
-  uint64_t cpu_ns = 0;
-  uint64_t lock_wait_ns = 0;
-  uint64_t rpc_wait_ns = 0;
-  uint64_t other_wait_ns = 0;
-  Histogram window;
+uint64_t CounterOf(const std::vector<MetricSnapshot>& rows,
+                   std::string_view name) {
+  const MetricSnapshot* row = Find(rows, name);
+  return row != nullptr ? row->counter : 0;
+}
+
+double PerSec(const Sample& s, uint64_t n) {
+  return s.interval_s > 0 ? static_cast<double>(n) / s.interval_s : 0.0;
+}
+
+// A layer's cumulative row paired with its row over the interval (spans
+// and self-time tails since the previous sample; empty when idle).
+struct LayerView {
+  obs::LayerRow total;
+  obs::LayerRow interval;
 };
 
-std::map<std::string, LayerRow> LayerRows(const Sample& s) {
-  std::map<std::string, LayerRow> rows;
-  for (const TelemetryMetric& m : s.merged) {
-    if (m.kind != obs::Metric::Kind::kSpan) {
-      continue;
+std::vector<LayerView> Layers(const Sample& s) {
+  const std::vector<obs::LayerRow> interval = obs::LayerRows(s.interval);
+  std::vector<LayerView> out;
+  for (obs::LayerRow& row : obs::LayerRows(s.merged)) {
+    LayerView view;
+    const auto it = std::find_if(
+        interval.begin(), interval.end(),
+        [&](const obs::LayerRow& r) { return r.layer == row.layer; });
+    if (it != interval.end()) {
+      view.interval = *it;
     }
-    LayerRow& row = rows[std::string(LayerOf(m.name))];
-    row.spans += m.cumulative.count();
-    row.self_ns += m.span_self_ns;
-    row.total_ns += m.span_total_ns;
-    row.cpu_ns += m.span_cpu_ns;
-    row.lock_wait_ns += m.span_lock_wait_ns;
-    row.rpc_wait_ns += m.span_rpc_wait_ns;
-    row.other_wait_ns += m.span_other_wait_ns;
-    row.window.Merge(m.window);
+    view.total = std::move(row);
+    out.push_back(std::move(view));
   }
-  return rows;
-}
-
-// Share of a layer's wall-clock self time spent blocked (lock + rpc + other
-// wait). Waits can exceed self time when a wait spans child-span exits, so
-// clamp at 100 rather than confuse the reader.
-double WaitPct(const LayerRow& row) {
-  const uint64_t wait =
-      row.lock_wait_ns + row.rpc_wait_ns + row.other_wait_ns;
-  if (row.self_ns == 0) {
-    return wait != 0 ? 100.0 : 0.0;
-  }
-  return std::min(100.0, 100.0 * static_cast<double>(wait) /
-                             static_cast<double>(row.self_ns));
+  return out;
 }
 
 // Lock-plane view: the live waiter gauge plus the contention latency
@@ -207,18 +184,18 @@ struct LockView {
 
 LockView LockRows(const Sample& s) {
   LockView view;
-  for (const TelemetryMetric& m : s.merged) {
+  for (const MetricSnapshot& m : s.merged) {
     if (m.kind == obs::Metric::Kind::kGauge && m.name == "lock.waiters") {
       view.waiters = m.gauge;
       view.any = true;
     } else if (m.name == "lock.wait.latency_us") {
-      view.wait_latency.Merge(m.cumulative);
+      view.wait_latency.Merge(m.hist);
       view.any = true;
     } else if (m.name == "lock.revoke.latency_us") {
-      view.revoke_latency.Merge(m.cumulative);
+      view.revoke_latency.Merge(m.hist);
       view.any = true;
     } else if (m.name == "clerk.revoke.queue_us") {
-      view.revoke_queue.Merge(m.cumulative);
+      view.revoke_queue.Merge(m.hist);
       view.any = true;
     }
   }
@@ -245,23 +222,26 @@ DroppedTotals SumDropped(const Sample& s) {
 }
 
 // Per-RPC-method rows keyed by method name ("tfs.apply_batch"): the
-// rpc.<method>.calls/bytes counters plus the rpc.<method> span window.
+// rpc.<method>.calls/bytes counters plus the rpc.<method> span's interval
+// histogram.
 struct RpcRow {
   uint64_t calls = 0;
   uint64_t bytes_out = 0;
   uint64_t bytes_in = 0;
-  Histogram window;
+  Histogram interval;
 };
 
 std::map<std::string, RpcRow> RpcRows(const Sample& s) {
   std::map<std::string, RpcRow> rows;
-  for (const TelemetryMetric& m : s.merged) {
+  for (const MetricSnapshot& m : s.merged) {
     if (m.name.rfind("rpc.", 0) != 0) {
       continue;
     }
     const std::string rest = m.name.substr(4);
     if (m.kind == obs::Metric::Kind::kSpan) {
-      rows[rest].window.Merge(m.window);
+      if (const MetricSnapshot* i = Find(s.interval, m.name)) {
+        rows[rest].interval = i->hist;
+      }
       continue;
     }
     const size_t dot = rest.rfind('.');
@@ -282,17 +262,21 @@ std::map<std::string, RpcRow> RpcRows(const Sample& s) {
 }
 
 std::vector<std::pair<std::string, uint64_t>> CounterPairs(const Sample& s) {
-  return {s.counters.begin(), s.counters.end()};
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (const MetricSnapshot& m : s.merged) {
+    if (m.kind == obs::Metric::Kind::kCounter) {
+      out.emplace_back(m.name, m.counter);
+    }
+  }
+  return out;
 }
 
-void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
+void RenderText(const Options& opt, const Sample& cur) {
   if (opt.clear && ::isatty(STDOUT_FILENO)) {
     std::fputs("\x1b[H\x1b[2J", stdout);
   }
-  const double interval_s =
-      static_cast<double>(cur.mono_ns - prev.mono_ns) / 1e9;
   std::printf("aerie_top — %zu process(es) in %s, interval %.1fs\n",
-              cur.processes.size(), opt.dir.c_str(), interval_s);
+              cur.processes.size(), opt.dir.c_str(), cur.interval_s);
   const DroppedTotals dropped = SumDropped(cur);
   if (dropped.warning()) {
     std::printf("WARNING: telemetry INCOMPLETE — %" PRIu64
@@ -307,37 +291,30 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
   std::printf("%7s  %-16s  %-8s  %9s  %8s  %7s  %7s\n", "PID", "PROCESS",
               "MODE", "PUBLISHES", "METRICS", "DROPPED", "DROPH");
   for (const TelemetrySnapshot& p : cur.processes) {
-    const char* mode = p.mode == obs::Mode::kOff
-                           ? "off"
-                           : (p.mode == obs::Mode::kCounters ? "counters"
-                                                             : "spans");
     std::printf("%7" PRIu64 "  %-16.16s  %-8s  %9" PRIu64 "  %8zu  %7" PRIu64
                 "  %7" PRIu64 "\n",
-                p.pid, p.process_name.c_str(), mode, p.publish_count,
-                p.metrics.size(), p.dropped_entries, p.dropped_hists);
+                p.pid, p.process_name.c_str(), obs::ModeName(p.mode),
+                p.publish_count, p.metrics.size(), p.dropped_entries,
+                p.dropped_hists);
   }
 
-  const auto layers = LayerRows(cur);
+  const auto layers = Layers(cur);
   if (!layers.empty()) {
     std::printf("\n%-12s  %10s  %10s  %10s  %8s  %6s  %8s  %8s  %8s\n",
-                "LAYER", "SPANS", "SPANS/S", "SELF", "CPU", "WAIT%",
-                "win p50", "win p95", "win p99");
-    const auto prev_layers = LayerRows(prev);
-    const double secs = interval_s > 0 ? interval_s : 1;
-    for (const auto& [name, row] : layers) {
-      double rate = 0;
-      const auto pit = prev_layers.find(name);
-      if (pit != prev_layers.end() && row.spans >= pit->second.spans) {
-        rate = static_cast<double>(row.spans - pit->second.spans) / secs;
-      }
+                "LAYER", "SPANS", "SPANS/S", "SELF", "CPU", "WAIT%", "p50",
+                "p95", "p99");
+    for (const LayerView& view : layers) {
+      const obs::LayerRow& row = view.total;
+      const Histogram& tail = view.interval.self;
       std::printf("%-12.12s  %10s  %10s  %10s  %8s  %5.1f%%  %8s  %8s  %8s\n",
-                  name.c_str(),
+                  row.layer.c_str(),
                   PrettyCount(static_cast<double>(row.spans)).c_str(),
-                  PrettyCount(rate).c_str(), PrettyNanos(row.self_ns).c_str(),
-                  PrettyNanos(row.cpu_ns).c_str(), WaitPct(row),
-                  PrettyNanos(row.window.Percentile(50)).c_str(),
-                  PrettyNanos(row.window.Percentile(95)).c_str(),
-                  PrettyNanos(row.window.Percentile(99)).c_str());
+                  PrettyCount(PerSec(cur, view.interval.spans)).c_str(),
+                  PrettyNanos(row.self_ns).c_str(),
+                  PrettyNanos(row.cpu_ns).c_str(), row.WaitPct(),
+                  PrettyNanos(tail.Percentile(50)).c_str(),
+                  PrettyNanos(tail.Percentile(95)).c_str(),
+                  PrettyNanos(tail.Percentile(99)).c_str());
     }
   }
 
@@ -367,17 +344,18 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
   const auto rpcs = RpcRows(cur);
   if (!rpcs.empty()) {
     std::printf("\n%-24s  %10s  %10s  %10s  %8s  %8s  %8s\n", "RPC METHOD",
-                "CALLS", "CALLS/S", "OUT", "win p50", "win p95", "win p99");
+                "CALLS", "CALLS/S", "OUT", "p50", "p95", "p99");
     for (const auto& [method, row] : rpcs) {
-      const double rate = RatePerSec(prev, cur, "rpc." + method + ".calls");
+      const double rate =
+          PerSec(cur, CounterOf(cur.interval, "rpc." + method + ".calls"));
       std::printf("%-24.24s  %10s  %10s  %10s  %8s  %8s  %8s\n",
                   method.c_str(),
                   PrettyCount(static_cast<double>(row.calls)).c_str(),
                   PrettyCount(rate).c_str(),
                   PrettyBytes(row.bytes_out).c_str(),
-                  PrettyNanos(row.window.Percentile(50)).c_str(),
-                  PrettyNanos(row.window.Percentile(95)).c_str(),
-                  PrettyNanos(row.window.Percentile(99)).c_str());
+                  PrettyNanos(row.interval.Percentile(50)).c_str(),
+                  PrettyNanos(row.interval.Percentile(95)).c_str(),
+                  PrettyNanos(row.interval.Percentile(99)).c_str());
     }
   }
 
@@ -385,9 +363,11 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
   // mapped SCM under the clerk's direct-access epoch, plus how often a
   // stale epoch or in-flight revoke pushed an op back onto the locked path.
   {
-    auto counter = [&cur](const char* name) -> uint64_t {
-      auto it = cur.counters.find(name);
-      return it == cur.counters.end() ? 0 : it->second;
+    auto counter = [&cur](const char* name) {
+      return CounterOf(cur.merged, name);
+    };
+    auto rate = [&cur](const char* name) {
+      return static_cast<uint64_t>(PerSec(cur, CounterOf(cur.interval, name)));
     };
     const uint64_t read_bytes = counter("libfs.direct.read_bytes");
     const uint64_t write_bytes = counter("libfs.direct.write_bytes");
@@ -397,13 +377,9 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
           "\ndirect path: read %s (%s/s), write %s (%s/s), grants %s, "
           "fallbacks %s (clerk %s)\n",
           PrettyBytes(read_bytes).c_str(),
-          PrettyBytes(static_cast<uint64_t>(
-                          RatePerSec(prev, cur, "libfs.direct.read_bytes")))
-              .c_str(),
+          PrettyBytes(rate("libfs.direct.read_bytes")).c_str(),
           PrettyBytes(write_bytes).c_str(),
-          PrettyBytes(static_cast<uint64_t>(
-                          RatePerSec(prev, cur, "libfs.direct.write_bytes")))
-              .c_str(),
+          PrettyBytes(rate("libfs.direct.write_bytes")).c_str(),
           PrettyCount(static_cast<double>(grants)).c_str(),
           PrettyCount(static_cast<double>(counter("libfs.direct.fallback")))
               .c_str(),
@@ -437,20 +413,13 @@ void RenderText(const Options& opt, const Sample& prev, const Sample& cur) {
   std::fflush(stdout);
 }
 
-void AppendHistJson(std::string* out, const Histogram& h) {
-  *out += h.ToJson();
-}
-
-std::string RenderJson(const Options& opt, const Sample& prev,
-                       const Sample& cur) {
+std::string RenderJson(const Options& opt, const Sample& cur) {
   char buf[320];
-  // schema_version 2: adds per-process dropped_hists, the top-level
-  // dropped/locks objects, and per-layer cpu/wait attribution (all
-  // REQUIRED in tools/telemetry_schema.json, hence the version bump).
-  std::string out = "{\n  \"schema_version\": 2,\n";
-  std::snprintf(buf, sizeof(buf), "  \"interval_ms\": %" PRIu64 ",\n",
-                static_cast<uint64_t>(cur.mono_ns - prev.mono_ns) /
-                    uint64_t{1000000});
+  // schema_version 3: the per-layer and per-method "interval" histograms
+  // are the difference of the two samples (tools/telemetry_schema.json).
+  std::string out = "{\n  \"schema_version\": 3,\n";
+  std::snprintf(buf, sizeof(buf), "  \"interval_ms\": %.0f,\n",
+                cur.interval_s * 1e3);
   out += buf;
   out += "  \"dir\": \"" + JsonEscape(opt.dir) + "\",\n";
   const DroppedTotals dropped = SumDropped(cur);
@@ -466,16 +435,13 @@ std::string RenderJson(const Options& opt, const Sample& prev,
   for (const TelemetrySnapshot& p : cur.processes) {
     out += first ? "\n" : ",\n";
     first = false;
-    const char* mode = p.mode == obs::Mode::kOff
-                           ? "off"
-                           : (p.mode == obs::Mode::kCounters ? "counters"
-                                                             : "spans");
     std::snprintf(buf, sizeof(buf),
                   "    {\"pid\": %" PRIu64 ", \"name\": \"%s\", \"mode\": "
                   "\"%s\", \"publish_count\": %" PRIu64
                   ", \"metrics\": %zu, \"dropped_entries\": %" PRIu64
                   ", \"dropped_hists\": %" PRIu64 "}",
-                  p.pid, JsonEscape(p.process_name).c_str(), mode,
+                  p.pid, JsonEscape(p.process_name).c_str(),
+                  obs::ModeName(p.mode),
                   p.publish_count, p.metrics.size(), p.dropped_entries,
                   p.dropped_hists);
     out += buf;
@@ -484,28 +450,22 @@ std::string RenderJson(const Options& opt, const Sample& prev,
 
   out += "  \"layers\": {";
   first = true;
-  const auto prev_layers = LayerRows(prev);
-  const double secs =
-      std::max(1e-9, static_cast<double>(cur.mono_ns - prev.mono_ns) / 1e9);
-  for (const auto& [name, row] : LayerRows(cur)) {
+  for (const LayerView& view : Layers(cur)) {
+    const obs::LayerRow& row = view.total;
     out += first ? "\n" : ",\n";
     first = false;
-    double rate = 0;
-    const auto pit = prev_layers.find(name);
-    if (pit != prev_layers.end() && row.spans >= pit->second.spans) {
-      rate = static_cast<double>(row.spans - pit->second.spans) / secs;
-    }
     std::snprintf(buf, sizeof(buf),
                   "    \"%s\": {\"spans\": %" PRIu64 ", \"spans_per_sec\": "
                   "%.1f, \"self_ns\": %" PRIu64 ", \"total_ns\": %" PRIu64
                   ", \"cpu_ns\": %" PRIu64 ", \"lock_wait_ns\": %" PRIu64
                   ", \"rpc_wait_ns\": %" PRIu64 ", \"other_wait_ns\": %" PRIu64
-                  ", \"wait_pct\": %.1f, \"window\": ",
-                  JsonEscape(name).c_str(), row.spans, rate, row.self_ns,
-                  row.total_ns, row.cpu_ns, row.lock_wait_ns, row.rpc_wait_ns,
-                  row.other_wait_ns, WaitPct(row));
+                  ", \"wait_pct\": %.1f, \"interval\": ",
+                  JsonEscape(row.layer).c_str(), row.spans,
+                  PerSec(cur, view.interval.spans), row.self_ns, row.total_ns,
+                  row.cpu_ns, row.lock_wait_ns, row.rpc_wait_ns,
+                  row.other_wait_ns, row.WaitPct());
     out += buf;
-    AppendHistJson(&out, row.window);
+    out += view.interval.self.ToJson();
     out += "}";
   }
   out += "\n  },\n";
@@ -515,15 +475,16 @@ std::string RenderJson(const Options& opt, const Sample& prev,
   for (const auto& [method, row] : RpcRows(cur)) {
     out += first ? "\n" : ",\n";
     first = false;
-    const double rate = RatePerSec(prev, cur, "rpc." + method + ".calls");
+    const double rate =
+        PerSec(cur, CounterOf(cur.interval, "rpc." + method + ".calls"));
     std::snprintf(buf, sizeof(buf),
                   "    \"%s\": {\"calls\": %" PRIu64 ", \"calls_per_sec\": "
                   "%.1f, \"bytes_out\": %" PRIu64 ", \"bytes_in\": %" PRIu64
-                  ", \"window\": ",
+                  ", \"interval\": ",
                   JsonEscape(method).c_str(), row.calls, rate, row.bytes_out,
                   row.bytes_in);
     out += buf;
-    AppendHistJson(&out, row.window);
+    out += row.interval.ToJson();
     out += "}";
   }
   out += "\n  },\n";
@@ -534,11 +495,11 @@ std::string RenderJson(const Options& opt, const Sample& prev,
                 ", \"wait_latency_us\": ",
                 locks.waiters);
   out += buf;
-  AppendHistJson(&out, locks.wait_latency);
+  out += locks.wait_latency.ToJson();
   out += ", \"revoke_latency_us\": ";
-  AppendHistJson(&out, locks.revoke_latency);
+  out += locks.revoke_latency.ToJson();
   out += ", \"revoke_queue_us\": ";
-  AppendHistJson(&out, locks.revoke_queue);
+  out += locks.revoke_queue.ToJson();
   out += "},\n";
 
   const obs::WriteAmpReport amp = obs::ComputeWriteAmp(CounterPairs(cur));
@@ -566,19 +527,17 @@ std::string RenderJson(const Options& opt, const Sample& prev,
 }
 
 int Run(const Options& opt) {
-  Sample prev = TakeSample(opt);
-  if (opt.json) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(opt.interval_ms));
-    const Sample cur = TakeSample(opt);
-    std::fputs(RenderJson(opt, prev, cur).c_str(), stdout);
-    return 0;
-  }
+  Sample prev = TakeSample(opt, nullptr);
   uint64_t done = 0;
   while (opt.iterations == 0 || done < opt.iterations) {
     std::this_thread::sleep_for(std::chrono::milliseconds(opt.interval_ms));
-    const Sample cur = TakeSample(opt);
-    RenderText(opt, prev, cur);
-    prev = cur;
+    Sample cur = TakeSample(opt, &prev);
+    if (opt.json) {
+      std::fputs(RenderJson(opt, cur).c_str(), stdout);
+      return 0;
+    }
+    RenderText(opt, cur);
+    prev = std::move(cur);
     ++done;
   }
   return 0;
