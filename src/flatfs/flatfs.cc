@@ -152,9 +152,7 @@ Status FlatFs::Put(std::string_view key, std::span<const char> data) {
       Oid file, fs_->TakePooled(ObjType::kMFile, options_.file_capacity));
   AERIE_ASSIGN_OR_RETURN(MFile mfile, MFile::Open(ctx_, file));
   AERIE_RETURN_IF_ERROR(mfile.WriteInPlace(0, data));
-  if (options_.flush_data_on_write) {
-    ctx_.region->BFlush();
-  }
+  ctx_.region->BFlush();
 
   AERIE_ASSIGN_OR_RETURN(LockId lock, LockBucket(key, /*write=*/true));
   MetaOp op;

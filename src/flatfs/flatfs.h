@@ -40,7 +40,6 @@ class FlatFs {
     // Fixed capacity of every file (paper: "small files with a known
     // maximum size"). Puts larger than this fail kOutOfSpace.
     uint64_t file_capacity = 64 << 10;
-    bool flush_data_on_write = true;
     // Direct data path (DESIGN.md §10): gets served from a cached value
     // location under the clerk's direct-access epoch, skipping the bucket
     // lock + collection lookup. Also gated by AERIE_DIRECT.

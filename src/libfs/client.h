@@ -122,15 +122,13 @@ class LibFs {
   Result<uint64_t> ServiceRead(Oid file, uint64_t offset, std::span<char> out);
   Status ServiceWrite(Oid file, uint64_t offset, std::span<const char> data);
 
-  // --- Direct data path (DESIGN.md §10) ---
+  // --- Direct data path (DESIGN.md §10: FlatFS's value cache) ---
   // Process-wide gate: true unless AERIE_DIRECT is "off"/"0" (read once).
   static bool DirectEnabled();
 
   void CountDirectRead(uint64_t bytes) { direct_read_bytes_.Add(bytes); }
-  void CountDirectWrite(uint64_t bytes) { direct_write_bytes_.Add(bytes); }
   void CountDirectFallback() { direct_fallbacks_.Add(1); }
   uint64_t direct_read_bytes() const { return direct_read_bytes_.value(); }
-  uint64_t direct_write_bytes() const { return direct_write_bytes_.value(); }
   uint64_t direct_fallbacks() const { return direct_fallbacks_.value(); }
   uint64_t batches_ship_failed() const { return batches_ship_failed_.value(); }
 
@@ -139,8 +137,8 @@ class LibFs {
       : transport_(transport), region_(region), options_(options) {
     obs_registration_.AddAll(batches_shipped_, batches_ship_failed_,
                              ops_logged_, pool_takes_, pool_refills_,
-                             direct_read_bytes_, direct_write_bytes_,
-                             direct_fallbacks_, pending_ops_gauge_);
+                             direct_read_bytes_, direct_fallbacks_,
+                             pending_ops_gauge_);
   }
 
   Status ShipBatchLocked(std::unique_lock<std::mutex>* lock);
@@ -178,7 +176,6 @@ class LibFs {
   obs::Counter pool_takes_{"libfs.pool.take"};
   obs::Counter pool_refills_{"libfs.pool.refill"};
   obs::Counter direct_read_bytes_{"libfs.direct.read_bytes"};
-  obs::Counter direct_write_bytes_{"libfs.direct.write_bytes"};
   obs::Counter direct_fallbacks_{"libfs.direct.fallback"};
   obs::Gauge pending_ops_gauge_{"libfs.batch.pending"};
   obs::ScopedRegistration obs_registration_;

@@ -61,7 +61,7 @@ Result<std::unique_ptr<AerieSystem>> AerieSystem::Create(
   }
 
   sys->tfs_ = std::make_unique<TrustedFsService>(
-      sys->volume_.get(), sys->locks_.get(), sys->manager_.get(), options.tfs);
+      sys->volume_.get(), sys->locks_.get(), sys->manager_.get());
   if (options.fresh) {
     AERIE_RETURN_IF_ERROR(sys->tfs_->Bootstrap());
   } else {

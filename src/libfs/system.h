@@ -44,7 +44,6 @@ class AerieSystem {
     // Extra write latency per persisted cache line (paper §7.4 knob).
     uint64_t scm_write_ns = 0;
     LockService::Options lock;
-    TrustedFsService::Options tfs;
     ScmManager::Options scm;
     // Applied only when formatting (fresh == true). Crash-simulation tests
     // shrink the redo log so enumeration touches fewer lines per image.

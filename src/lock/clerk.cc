@@ -552,8 +552,7 @@ void LockClerk::WorkerLoop() {
   // dropped every lock this clerk had cached (the ablation_name_cache
   // webproxy flake). Checked before each queued item, not only on idle.
   auto renew_if_due = [&] {
-    if (!options_.auto_renew || lease_lost_.load() ||
-        renewal_stopped_.load()) {
+    if (lease_lost_.load() || renewal_stopped_.load()) {
       return;
     }
     const uint64_t now = NowNanos();

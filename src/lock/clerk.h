@@ -46,7 +46,6 @@ namespace aerie {
 class LockClerk final : public RevocationSink {
  public:
   struct Options {
-    bool auto_renew = true;
     uint64_t renew_interval_ms = 500;
     // How long a local-grant wait may block before kLockConflict.
     uint64_t local_wait_timeout_ms = 2000;

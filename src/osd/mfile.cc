@@ -208,68 +208,6 @@ Result<uint64_t> MFile::Read(uint64_t offset, std::span<char> out) const {
   return done;
 }
 
-uint64_t MFile::ReadDirect(ScmRegion* region, const DirectExtentMap& map,
-                           uint64_t offset, std::span<char> out) {
-  if (offset >= map.size()) {
-    return 0;
-  }
-  const uint64_t want = std::min<uint64_t>(out.size(), map.size() - offset);
-  uint64_t done = 0;
-  while (done < want) {
-    const uint64_t pos = offset + done;
-    const uint64_t page = pos / kScmPageSize;
-    const uint64_t in_page = pos % kScmPageSize;
-    const uint64_t chunk = std::min(want - done, kScmPageSize - in_page);
-    const uint64_t extent = map.page(page);
-    if (extent != 0) {
-      std::memcpy(out.data() + done, region->PtrAt(extent) + in_page, chunk);
-    } else {
-      std::memset(out.data() + done, 0, chunk);  // sparse hole reads zero
-    }
-    done += chunk;
-  }
-  return done;
-}
-
-Status MFile::WriteDirect(ScmRegion* region, const DirectExtentMap& map,
-                          uint64_t offset, std::span<const char> data,
-                          bool flush) {
-  AERIE_SCM_LAYER("osd");
-  if (data.empty()) {
-    return OkStatus();
-  }
-  if (offset + data.size() > map.size()) {
-    return Status(ErrorCode::kNotFound, "extends file: not an overwrite");
-  }
-  const uint64_t first_page = offset / kScmPageSize;
-  const uint64_t last_page = (offset + data.size() - 1) / kScmPageSize;
-  for (uint64_t p = first_page; p <= last_page; ++p) {
-    if (map.page(p) == 0) {
-      return Status(ErrorCode::kNotFound, "hole");
-    }
-  }
-  uint64_t done = 0;
-  while (done < data.size()) {
-    const uint64_t pos = offset + done;
-    const uint64_t page = pos / kScmPageSize;
-    const uint64_t in_page = pos % kScmPageSize;
-    const uint64_t chunk =
-        std::min<uint64_t>(data.size() - done, kScmPageSize - in_page);
-    region->StreamWrite(region->PtrAt(map.page(page)) + in_page,
-                        data.data() + done, chunk);
-    done += chunk;
-  }
-  if (flush) {
-    // The direct path has no later locked-path BFlush to piggyback on: this
-    // drain is the overwrite's entire durability story, so it is a
-    // registered mutation target (suppressing it must fail crash_sim).
-    static const int kSite = RegisterPersistSite("libfs.direct.write.bflush");
-    region->BFlush(kSite);
-    region->CrashPoint("libfs.direct.write");
-  }
-  return OkStatus();
-}
-
 Status MFile::WriteInPlace(uint64_t offset, std::span<const char> data) {
   AERIE_SCM_LAYER("osd");
   const MHeaderRep* hdr = HeaderAt(ctx_, oid_);

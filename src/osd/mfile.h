@@ -63,51 +63,6 @@ class MFile {
   // read (clamped by size()).
   Result<uint64_t> Read(uint64_t offset, std::span<char> out) const;
 
-  // --- Direct data path (DESIGN.md §10) ---
-  // Immutable snapshot of the offset -> extent map, taken while the caller
-  // holds lock authority on the file. Region offsets of 4KB pages; 0 = hole.
-  // A snapshot stays safe to use after the lock is released *only* under a
-  // valid direct-access epoch from the clerk (extents are never reclaimed
-  // while any client could still hold authority over them).
-  class DirectExtentMap {
-   public:
-    uint64_t size() const { return size_; }  // file size when snapped
-    // Region offset of page `i` (0 = hole); `i` is below size()'s pages.
-    uint64_t page(uint64_t i) const { return i == 0 ? first_ : rest_[i - 1]; }
-    // Sets the size; every page starts as a hole.
-    void Resize(uint64_t size) {
-      size_ = size;
-      first_ = 0;
-      const uint64_t pages = (size + kScmPageSize - 1) / kScmPageSize;
-      rest_.assign(pages > 1 ? pages - 1 : 0, 0);
-    }
-    void set_page(uint64_t i, uint64_t offset) {
-      (i == 0 ? first_ : rest_[i - 1]) = offset;
-    }
-
-   private:
-    uint64_t size_ = 0;
-    // Page 0 lives inline, so a one-page file's map needs no heap block.
-    uint64_t first_ = 0;
-    std::vector<uint64_t> rest_;
-  };
-
-  // Copies out of the snapped extents without touching the mFile header
-  // (no Open, no size load — the snapshot is the truth the lease froze).
-  // Holes read as zeros; returns bytes read, clamped to map.size().
-  static uint64_t ReadDirect(ScmRegion* region, const DirectExtentMap& map,
-                             uint64_t offset, std::span<char> out);
-
-  // In-place overwrite strictly within [0, map.size()) over mapped pages;
-  // kNotFound if any touched page is a hole (caller falls back to the
-  // locked path, which allocates + logs an attach). Streams the bytes and,
-  // when `flush` is set, drains write-combining buffers at the registered
-  // "libfs.direct.write.bflush" persist site so the overwrite is durable
-  // before the caller acknowledges it.
-  static Status WriteDirect(ScmRegion* region, const DirectExtentMap& map,
-                            uint64_t offset, std::span<const char> data,
-                            bool flush);
-
   // --- In-place data writes (clients, where extents already exist) ---
   // Writes only where extents are present; returns kNotFound if any touched
   // page lacks an extent (caller allocates + logs an attach op).

@@ -6,6 +6,7 @@
 #include "src/common/check.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"
+#include "src/scm/crash_sim.h"
 #include "src/scm/manager.h"
 
 namespace aerie {
@@ -61,17 +62,15 @@ Pxfs::Pxfs(LibFs* fs, const Options& options)
     : fs_(fs),
       options_(options),
       ctx_(fs->read_context()),
-      snapshots_(options.name_cache_max),
       name_cache_(options.name_cache_max) {
   obs_registration_.AddAll(cache_hits_, cache_misses_, cache_ancestor_hits_,
-                           cache_evictions_, snapshot_builds_,
-                           snapshot_evictions_);
+                           cache_evictions_);
   // Whenever a global lock leaves this client (paper §6.1):
   //   * if it covered a file this client holds open, tell the TFS the file
   //     is open so unlink-reclaim is deferred ("clients with the file open
   //     notify the service ... when releasing the lock");
   //   * flush everything derived from cached authority (name cache,
-  //     overlays, shadows, direct snapshots).
+  //     overlays, shadows).
   hook_token_ = fs_->AddReleaseHook([this](LockId) {
     // A released lock may have covered any open file (directly, or through
     // a hierarchical ancestor the clerk had cached), so every locally-open,
@@ -98,18 +97,14 @@ void Pxfs::Forget(std::optional<Oid> oid) {
   std::unique_lock lock(state_mu_);
   if (!oid) {
     shadows_.clear();
-    snapshots_.Clear();
     overlay_.clear();
     return;
   }
   shadows_.erase(oid->raw());
-  snapshots_.Erase(oid->raw());
   overlay_.erase(oid->raw());
 }
 
 void Pxfs::ClearVolatileState() {
-  // Snapshots fold the shadows, and the epoch they were validated under is
-  // moving anyway (we are inside a release), so everything goes.
   Forget(std::nullopt);
   FlushNameCache();
 }
@@ -472,118 +467,6 @@ Status Pxfs::SetFdOffset(int fd, uint64_t offset) {
   return OkStatus();
 }
 
-// --- Direct data path (DESIGN.md §10) ---------------------------------------
-
-std::shared_ptr<const Pxfs::DirectSnapshot> Pxfs::CachedSnapshot(
-    Oid file) const {
-  std::shared_lock lock(state_mu_);
-  const auto* snap = snapshots_.Find(file.raw());
-  return snap == nullptr ? nullptr : *snap;
-}
-
-bool Pxfs::TryDirectRead(Oid file, uint64_t offset, std::span<char> out,
-                         uint64_t* n) {
-  if (!DirectUsable()) {
-    return false;
-  }
-  auto snap = CachedSnapshot(file);
-  if (snap == nullptr) {
-    return false;
-  }
-  LockClerk* clerk = fs_->clerk();
-  if (!clerk->TryEnterDirect(snap->epoch)) {
-    fs_->CountDirectFallback();
-    return false;
-  }
-  *n = MFile::ReadDirect(ctx_.region, snap->map, offset, out);
-  clerk->ExitDirect();
-  fs_->CountDirectRead(*n);
-  return true;
-}
-
-bool Pxfs::TryDirectWrite(Oid file, uint64_t offset,
-                          std::span<const char> data, uint64_t* n) {
-  if (!DirectUsable() || data.empty()) {
-    return false;
-  }
-  auto snap = CachedSnapshot(file);
-  if (snap == nullptr || !snap->writable) {
-    return false;
-  }
-  // Cheap pre-checks outside the pin: an extending write or a hole is an
-  // allocation — metadata — and belongs to the locked path.
-  if (offset + data.size() > snap->map.size()) {
-    return false;
-  }
-  LockClerk* clerk = fs_->clerk();
-  if (!clerk->TryEnterDirect(snap->epoch)) {
-    fs_->CountDirectFallback();
-    return false;
-  }
-  Status st = MFile::WriteDirect(ctx_.region, snap->map, offset, data,
-                                 options_.flush_data_on_write);
-  clerk->ExitDirect();
-  if (!st.ok()) {
-    fs_->CountDirectFallback();
-    return false;  // hole: locked path allocates + logs the attach
-  }
-  fs_->CountDirectWrite(data.size());
-  AERIE_COUNT_N("pxfs.api.logical_write_bytes", data.size());
-  *n = data.size();
-  return true;
-}
-
-void Pxfs::RefreshDirectMap(Oid file, LockMode mode) {
-  if (!DirectUsable()) {
-    return;
-  }
-  LockClerk* clerk = fs_->clerk();
-  // Validated under the clerk mutex while we still hold the local grant; a
-  // failure (drain in flight, authority gone) just means no cache entry.
-  auto epoch = clerk->DirectGrant(file.lock_id(), mode);
-  if (!epoch.ok()) {
-    return;
-  }
-  auto mfile = MFile::Open(ctx_, file);
-  if (!mfile.ok()) {
-    return;
-  }
-  DirectSnapshot snap;
-  snap.epoch = *epoch;
-  snap.writable = mode == LockMode::kExclusive;
-  {
-    // Resolved exactly as ReadAt resolves each page.
-    std::shared_lock lock(state_mu_);
-    const FileShadow* shadow = FindShadow(file);
-    const uint64_t size = SizeOf(shadow, *mfile);
-    const uint64_t pages = (size + kScmPageSize - 1) / kScmPageSize;
-    if (pages > kDirectMaxPages) {
-      return;  // unbounded map: such files stay on the locked path
-    }
-    snap.map.Resize(size);
-    for (uint64_t page = 0; page < pages; ++page) {
-      snap.map.set_page(page, ResolvePage(shadow, *mfile, page));
-    }
-  }
-  auto entry = std::make_shared<const DirectSnapshot>(std::move(snap));
-  std::unique_lock lock(state_mu_);
-  snapshot_builds_.Add(1);
-  snapshot_evictions_.Add(snapshots_.Put(file.raw(), std::move(entry)));
-}
-
-void Pxfs::MaybeRefreshDirect(Oid file, bool writable) {
-  if (!DirectUsable()) {
-    return;
-  }
-  auto cur = CachedSnapshot(file);
-  if (cur != nullptr && cur->epoch == fs_->clerk()->direct_epoch() &&
-      (cur->writable || !writable)) {
-    return;  // still usable as-is
-  }
-  RefreshDirectMap(file,
-                   writable ? LockMode::kExclusive : LockMode::kShared);
-}
-
 // --- Data path ---------------------------------------------------------------
 
 Result<uint64_t> Pxfs::ReadAt(Oid file, uint64_t offset, std::span<char> out) {
@@ -628,9 +511,8 @@ Result<uint64_t> Pxfs::ReadAt(Oid file, uint64_t offset, std::span<char> out) {
 }
 
 Result<uint64_t> Pxfs::WriteAt(Oid file, uint64_t offset,
-                               std::span<const char> data, bool* structural) {
+                               std::span<const char> data) {
   AERIE_SCM_LAYER("pxfs");
-  *structural = false;
   if (data.empty()) {
     return 0;
   }
@@ -721,16 +603,12 @@ Result<uint64_t> Pxfs::WriteAt(Oid file, uint64_t offset,
       shadow.size = new_end;
       shadow.has_size = true;
     }
-    if (!attach_ops.empty()) {
-      // Structural change: the cached snapshot no longer matches (new
-      // pages attached and/or a new size).
-      *structural = true;
-      snapshots_.Erase(file.raw());
-    }
   }
-  if (options_.flush_data_on_write) {
-    ctx_.region->BFlush();
-  }
+  // The data's durability point: an in-place overwrite logs nothing, so
+  // nothing later persists it if this drain is lost. A registered mutation
+  // target (suppressing it must fail crash_sim).
+  static const int kFlushSite = RegisterPersistSite("pxfs.write.bflush");
+  ctx_.region->BFlush(kFlushSite);
   if (!attach_ops.empty()) {
     AERIE_RETURN_IF_ERROR(fs_->LogOps(std::move(attach_ops)));
   }
@@ -742,18 +620,12 @@ Result<uint64_t> Pxfs::ReadFd(int fd, std::optional<uint64_t> pos,
                               std::span<char> out) {
   AERIE_ASSIGN_OR_RETURN(FdEntry entry, LookupFd(fd));
   const uint64_t offset = pos.value_or(entry.offset);
-  uint64_t n = 0;
-  if (!TryDirectRead(entry.oid, offset, out, &n)) {
-    LockClerk* clerk = fs_->clerk();
-    AERIE_RETURN_IF_ERROR(clerk->Acquire(entry.oid.lock_id(),
-                                         LockMode::kShared, entry.ancestors));
-    auto read = ReadAt(entry.oid, offset, out);
-    if (read.ok()) {
-      MaybeRefreshDirect(entry.oid, /*writable=*/false);
-    }
-    clerk->Release(entry.oid.lock_id());
-    AERIE_ASSIGN_OR_RETURN(n, std::move(read));
-  }
+  LockClerk* clerk = fs_->clerk();
+  AERIE_RETURN_IF_ERROR(clerk->Acquire(entry.oid.lock_id(), LockMode::kShared,
+                                       entry.ancestors));
+  auto read = ReadAt(entry.oid, offset, out);
+  clerk->Release(entry.oid.lock_id());
+  AERIE_ASSIGN_OR_RETURN(uint64_t n, std::move(read));
   if (!pos) {
     (void)SetFdOffset(fd, offset + n);
   }
@@ -768,27 +640,17 @@ Result<uint64_t> Pxfs::WriteFd(int fd, std::optional<uint64_t> pos,
   }
   const bool append = !pos && (entry.flags & kOpenAppend) != 0;
   uint64_t offset = pos.value_or(entry.offset);
-  uint64_t n = 0;
-  if (append || !TryDirectWrite(entry.oid, offset, data, &n)) {
-    LockClerk* clerk = fs_->clerk();
-    AERIE_RETURN_IF_ERROR(clerk->Acquire(
-        entry.oid.lock_id(), LockMode::kExclusive, entry.ancestors));
-    if (append) {
-      // Only now, with the grant held, has every other writer's append
-      // reached this client's view of the file.
-      offset = FileSize(entry.oid);
-    }
-    bool structural = false;
-    auto written = WriteAt(entry.oid, offset, data, &structural);
-    // Appends mutate the map every call; caching after one would thrash. A
-    // non-structural (overwrite) slow path is the signal the file's map is
-    // worth caching for the direct path.
-    if (written.ok() && !structural) {
-      MaybeRefreshDirect(entry.oid, /*writable=*/true);
-    }
-    clerk->Release(entry.oid.lock_id());
-    AERIE_ASSIGN_OR_RETURN(n, std::move(written));
+  LockClerk* clerk = fs_->clerk();
+  AERIE_RETURN_IF_ERROR(clerk->Acquire(entry.oid.lock_id(),
+                                       LockMode::kExclusive, entry.ancestors));
+  if (append) {
+    // Only now, with the grant held, has every other writer's append
+    // reached this client's view of the file.
+    offset = FileSize(entry.oid);
   }
+  auto written = WriteAt(entry.oid, offset, data);
+  clerk->Release(entry.oid.lock_id());
+  AERIE_ASSIGN_OR_RETURN(uint64_t n, std::move(written));
   if (!pos) {
     (void)SetFdOffset(fd, offset + n);
   }
@@ -840,7 +702,6 @@ Status Pxfs::TruncateHeld(Oid file, uint64_t size) {
   shadow.mfile_floor = std::min(shadow.mfile_floor, keep);
   shadow.extents.erase(shadow.extents.lower_bound(keep),
                        shadow.extents.end());
-  snapshots_.Erase(file.raw());
   // POSIX zero-fill: the boundary page's tail must not resurface if the
   // file is extended later. The server's apply does the same for the
   // persistent mapping; this covers the client's pending-extent view.

@@ -16,10 +16,12 @@
 //   * all volatile per-file client state lives here, keyed by oid under
 //     one lock: a *shadow* of each file's batched-but-unshipped extents and
 //     size, which makes them visible to this client's own operations
-//     (§6.1 "Storage Objects"), its direct-path extent-map snapshot
-//     (DESIGN.md §10), and a per-directory name overlay for pending
-//     namespace updates. It dies together (Forget): when a pooled oid is
-//     born again here, or when a global lock leaves this client;
+//     (§6.1 "Storage Objects"), and a per-directory name overlay for
+//     pending namespace updates. It dies together (Forget): when a pooled
+//     oid is born again here, or when a global lock leaves this client;
+//   * reads and in-place overwrites are loads and stores on mapped SCM
+//     under a clerk-local lock grant: once the clerk caches the file's
+//     lock, the data path makes no RPC (§4.2);
 //   * directory write locks are hierarchical (XH) by default, so file locks
 //     under a directory are granted locally by the clerk;
 //   * unlink-while-open: the client notifies the TFS a file is open before
@@ -75,11 +77,8 @@ class Pxfs {
   struct Options {
     // Per-client absolute-path name cache (PXFS vs PXFS-NNC, §7.3.1).
     bool name_cache = true;
-    // Entry bound of the name cache. The direct-path snapshot cache has the
-    // same bound, so a file whose name is cached can keep its snapshot.
+    // Entry bound of the name cache.
     size_t name_cache_max = 1 << 16;
-    // Persist data at every write (vs only at fsync).
-    bool flush_data_on_write = true;
     // Take directory write locks hierarchically (XH) so descendant file
     // locks are clerk-local. Explicit (X) is the ablation configuration.
     bool hierarchical_dir_locks = true;
@@ -88,11 +87,6 @@ class Pxfs {
     // (e.g. write-only files), data access goes through the trusted service
     // instead of direct loads/stores.
     bool enforce_memory_protection = false;
-    // Direct data path (DESIGN.md §10): reads and aligned in-place
-    // overwrites bypass the clerk's locked path via cached extent maps
-    // validated against the clerk's direct-access epoch. Also gated by the
-    // AERIE_DIRECT environment variable.
-    bool direct_data = true;
   };
 
   Pxfs(LibFs* fs, const Options& options);
@@ -152,15 +146,6 @@ class Pxfs {
   size_t overlay_removals() const;
 
  private:
-  // A file's extent map (persistent mapping folded with this client's
-  // shadow) plus the clerk direct-access epoch it was validated under. Used
-  // lock-free: pin the epoch, memcpy, unpin. `writable` records exclusive
-  // authority at snapshot time (required for WriteDirect).
-  struct DirectSnapshot {
-    MFile::DirectExtentMap map;
-    uint64_t epoch = 0;
-    bool writable = false;
-  };
   // This client's batched-but-unshipped view of one file.
   struct FileShadow {
     std::map<uint64_t, uint64_t> extents;  // page index -> extent offset
@@ -210,9 +195,9 @@ class Pxfs {
   void OverlayAdd(Oid dir, std::string_view name, Oid oid);
   void OverlayRemove(Oid dir, std::string_view name);
 
-  // Drops everything keyed by `oid` (shadow, direct snapshot, directory
-  // overlay), or by every oid when `oid` is empty. Runs when a pooled oid
-  // is born here, since the pool may hand back a dead object's oid.
+  // Drops everything keyed by `oid` (shadow and directory overlay), or by
+  // every oid when `oid` is empty. Runs when a pooled oid is born here,
+  // since the pool may hand back a dead object's oid.
   void Forget(std::optional<Oid> oid);
   // Forget(everything) + name cache: a global lock left this client.
   void ClearVolatileState();
@@ -247,40 +232,14 @@ class Pxfs {
                           std::span<char> out);
   Result<uint64_t> WriteFd(int fd, std::optional<uint64_t> pos,
                            std::span<const char> data);
-  // Caller holds the file lock. `structural` reports whether the write
-  // attached extents or changed the size.
+  // Caller holds the file lock. WriteAt returns once the bytes are durable
+  // (the "pxfs.write.bflush" persist site).
   Result<uint64_t> ReadAt(Oid file, uint64_t offset, std::span<char> out);
   Result<uint64_t> WriteAt(Oid file, uint64_t offset,
-                           std::span<const char> data, bool* structural);
+                           std::span<const char> data);
   // Caller holds the file's lock exclusively: logs the truncate and applies
   // it to the shadow.
   Status TruncateHeld(Oid file, uint64_t size);
-
-  // --- Direct data path (DESIGN.md §10) ---
-  // Upper bound on cacheable file size: one map entry per 4KB page.
-  static constexpr uint64_t kDirectMaxPages = 1 << 16;  // 256MB
-
-  bool DirectUsable() const {
-    return options_.direct_data && !options_.enforce_memory_protection &&
-           LibFs::DirectEnabled();
-  }
-  // Shared-locked lookup; a hit is only usable after
-  // clerk()->TryEnterDirect(epoch).
-  std::shared_ptr<const DirectSnapshot> CachedSnapshot(Oid file) const;
-  // Lock-free fast paths: true (with *n set) when the op completed against
-  // a cached snapshot under a pinned direct epoch; false means the caller
-  // must run the locked path (which refreshes the cache).
-  bool TryDirectRead(Oid file, uint64_t offset, std::span<char> out,
-                     uint64_t* n);
-  bool TryDirectWrite(Oid file, uint64_t offset, std::span<const char> data,
-                      uint64_t* n);
-  // Caller holds the file lock in at least `mode`. Snapshots the extent map
-  // (persistent mapping + this client's shadow state) under the current
-  // direct epoch.
-  void RefreshDirectMap(Oid file, LockMode mode);
-  // RefreshDirectMap only when the cached snapshot is missing, stale, or
-  // not writable when a writable one is needed.
-  void MaybeRefreshDirect(Oid file, bool writable);
 
   Status UnlinkLocked(const Resolved& r);
 
@@ -297,12 +256,9 @@ class Pxfs {
   std::set<uint64_t> notified_open_;
 
   // Everything PXFS keys by an oid (raw), under one lock and one lifecycle
-  // (Forget). Direct-path lookups take the lock shared.
+  // (Forget). Reads take the lock shared.
   mutable std::shared_mutex state_mu_;
   std::unordered_map<uint64_t, FileShadow> shadows_;
-  // Dropped on any structural change to the file; evicted one at a time
-  // when full (rebuilt on demand by the locked path).
-  BoundedMap<uint64_t, std::shared_ptr<const DirectSnapshot>> snapshots_;
   std::unordered_map<uint64_t, DirOverlay> overlay_;
 
   mutable std::mutex cwd_mu_;
@@ -319,8 +275,6 @@ class Pxfs {
   // Misses that resumed the walk from a cached directory on the path.
   obs::Counter cache_ancestor_hits_{"pxfs.name_cache.ancestor_hit"};
   obs::Counter cache_evictions_{"pxfs.name_cache.evict"};
-  obs::Counter snapshot_builds_{"pxfs.direct.snapshot_build"};
-  obs::Counter snapshot_evictions_{"pxfs.direct.snapshot_evict"};
   obs::ScopedRegistration obs_registration_;
 };
 

@@ -34,11 +34,10 @@ std::vector<Oid> ExtentOids(const MetaOp& op) {
 }  // namespace
 
 TrustedFsService::TrustedFsService(Volume* volume, LockService* locks,
-                                   ScmManager* scm, Options options)
+                                   ScmManager* scm)
     : volume_(volume),
       locks_(locks),
       scm_(scm),
-      options_(options),
       ctx_(volume->context()) {
   obs_registration_.AddAll(batches_applied_, ops_applied_, ops_rejected_);
   AERIE_CHECK(ctx_.can_allocate());
@@ -88,9 +87,6 @@ Status TrustedFsService::Bootstrap() {
 Status TrustedFsService::HoldsWriteLock(uint64_t client_id,
                                         LockId object_lock,
                                         uint64_t authority) const {
-  if (!options_.strict_lock_checks) {
-    return OkStatus();
-  }
   if (!locks_->LeaseValid(client_id)) {
     return Status(ErrorCode::kLockRevoked, "client lease expired");
   }

@@ -46,17 +46,9 @@ namespace aerie {
 
 class TrustedFsService {
  public:
-  struct Options {
-    // Verify lock ownership and leases on every op (disable only for
-    // ablation benchmarks measuring validation cost).
-    bool strict_lock_checks = true;
-  };
-
   // `scm` may be null (no hardware-protection propagation).
-  TrustedFsService(Volume* volume, LockService* locks, ScmManager* scm,
-                   Options options);
-  TrustedFsService(Volume* volume, LockService* locks)
-      : TrustedFsService(volume, locks, nullptr, Options{}) {}
+  TrustedFsService(Volume* volume, LockService* locks,
+                   ScmManager* scm = nullptr);
 
   // Creates the system collections (PXFS root, FlatFS namespace, orphan
   // table, pool master) on a freshly formatted volume. Idempotent.
@@ -146,7 +138,6 @@ class TrustedFsService {
   Volume* volume_;
   LockService* locks_;
   ScmManager* scm_;
-  Options options_;
   OsdContext ctx_;
 
   Roots roots_;

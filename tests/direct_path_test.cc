@@ -1,17 +1,18 @@
-// Zero-RPC direct data path (DESIGN.md §10). Three layers:
+// The direct-access epoch and the locked data path (DESIGN.md §10). Three
+// layers:
 //
-//  * DirectPathTest.*: functional coverage — warmed reads and aligned
-//    in-place overwrites run against the cached extent map (counters
-//    advance, results match the locked path), appends/extends fall back,
-//    revocation by a second client bumps the direct epoch and forces the
-//    locked path, and a concurrent reader never observes a torn page.
+//  * DirectPathTest.*: FlatFS gets served from the value cache stay
+//    coherent, a second client's put of the same key bumps the direct epoch
+//    and forces the locked path, and a concurrent get never observes a
+//    torn value; a PXFS reader never observes a torn page while another
+//    client overwrites it (the locked path's revoke/drain).
 //  * DirectPathCrashTest.CleanSweep*: the crash simulator enumerates states
-//    across a direct overwrite and across a revoke-triggered batch ship on a
-//    shared directory; every image must recover consistently.
-//  * DirectPathCrashTest.Detects*: mutation mode — suppressing the direct
-//    write's registered BFlush site must be caught by a commit-marker
-//    content oracle (acknowledged direct overwrites whose bytes never left
-//    the WC buffers).
+//    across an acknowledged PXFS in-place overwrite and across a
+//    revoke-triggered batch ship on a shared directory; every image must
+//    recover consistently.
+//  * DirectPathCrashTest.Detects*: mutation mode — suppressing the PXFS
+//    write's registered BFlush site must be caught by a page-bytes oracle
+//    (acknowledged overwrites whose bytes never left the WC buffers).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -84,145 +86,42 @@ class DirectPathTest : public ::testing::Test {
   std::unique_ptr<Pxfs> fs_;
 };
 
-TEST_F(DirectPathTest, WarmedReadsServeFromCachedMap) {
-  MakeFile("/d/r", 2, 'a');
-  auto fd = fs_->Open("/d/r", kOpenRead);
-  ASSERT_TRUE(fd.ok());
-  std::string buf(2 * kPage, '\0');
-
-  // First read takes the locked path and warms the map.
-  auto n = fs_->Pread(*fd, 0, std::span<char>(buf.data(), buf.size()));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, buf.size());
-  const uint64_t before = libfs()->direct_read_bytes();
-
-  n = fs_->Pread(*fd, 0, std::span<char>(buf.data(), buf.size()));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, buf.size());
-  EXPECT_EQ(buf, std::string(2 * kPage, 'a'));
-  EXPECT_EQ(libfs()->direct_read_bytes(), before + buf.size());
-
-  // Partial read from an interior offset through the same map.
-  std::string tail(kPage, '\0');
-  n = fs_->Pread(*fd, kPage, std::span<char>(tail.data(), tail.size()));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, kPage);
-  EXPECT_EQ(tail, std::string(kPage, 'a'));
-  EXPECT_EQ(libfs()->direct_read_bytes(), before + buf.size() + kPage);
-  ASSERT_TRUE(fs_->Close(*fd).ok());
-}
-
-TEST_F(DirectPathTest, InPlaceOverwritesGoDirectAndStayReadable) {
-  MakeFile("/d/w", 2, 'a');
-  auto fd = fs_->Open("/d/w", kOpenRead | kOpenWrite);
-  ASSERT_TRUE(fd.ok());
-
-  // First overwrite is in place but uncached: locked path, warms a writable
-  // map.
-  const std::string first(kPage, 'b');
-  auto n = fs_->Pwrite(*fd, 0, Bytes(first));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, kPage);
-  const uint64_t before = libfs()->direct_write_bytes();
-
-  const std::string second(kPage, 'c');
-  n = fs_->Pwrite(*fd, kPage, Bytes(second));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, kPage);
-  EXPECT_EQ(libfs()->direct_write_bytes(), before + kPage);
-
-  // Readable through both the direct and the locked path.
-  std::string buf(2 * kPage, '\0');
-  n = fs_->Pread(*fd, 0, std::span<char>(buf.data(), buf.size()));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(buf.substr(0, kPage), first);
-  EXPECT_EQ(buf.substr(kPage), second);
-  ASSERT_TRUE(fs_->Close(*fd).ok());
-
-  auto fd2 = fs_->Open("/d/w", kOpenRead);
-  ASSERT_TRUE(fd2.ok());
-  std::fill(buf.begin(), buf.end(), '\0');
-  n = fs_->Pread(*fd2, 0, std::span<char>(buf.data(), buf.size()));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(buf.substr(kPage), second);
-  ASSERT_TRUE(fs_->Close(*fd2).ok());
-}
-
-TEST_F(DirectPathTest, ExtendsAndAppendsFallBackToLockedPath) {
-  MakeFile("/d/x", 1, 'a');
-  auto fd = fs_->Open("/d/x", kOpenRead | kOpenWrite);
-  ASSERT_TRUE(fd.ok());
-
-  // Warm a writable map with an in-place overwrite.
-  const std::string page(kPage, 'b');
-  ASSERT_TRUE(fs_->Pwrite(*fd, 0, Bytes(page)).ok());
-  const uint64_t direct_before = libfs()->direct_write_bytes();
-
-  // Extending past EOF must not run direct: it needs an extent allocation
-  // and a logged SetSize.
-  auto n = fs_->Pwrite(*fd, kPage, Bytes(page));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, kPage);
-  EXPECT_EQ(libfs()->direct_write_bytes(), direct_before);
-
-  auto st = fs_->Fstat(*fd);
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(st->size, 2 * kPage);
-  ASSERT_TRUE(fs_->Close(*fd).ok());
-
-  // O_APPEND writes always take the locked path.
-  auto afd = fs_->Open("/d/x", kOpenWrite | kOpenAppend);
-  ASSERT_TRUE(afd.ok());
-  ASSERT_TRUE(fs_->Write(*afd, Bytes(page)).ok());
-  EXPECT_EQ(libfs()->direct_write_bytes(), direct_before);
-  ASSERT_TRUE(fs_->Close(*afd).ok());
-}
-
 TEST_F(DirectPathTest, OptionsCanDisableTheDirectPath) {
-  Pxfs::Options options;
+  FlatFs::Options options;
   options.direct_data = false;
-  Pxfs plain(client_->fs(), options);
-  ASSERT_TRUE(plain.Mkdir("/nd").ok());
-  auto fd = plain.Open("/nd/f", kOpenCreate | kOpenRead | kOpenWrite);
-  ASSERT_TRUE(fd.ok());
-  const std::string page(kPage, 'z');
-  ASSERT_TRUE(plain.Write(*fd, Bytes(page)).ok());
+  FlatFs flat(client_->fs(), options);
+  const std::string value(1024, 'z');
+  ASSERT_TRUE(flat.Put("off", Bytes(value)).ok());
   const uint64_t reads = libfs()->direct_read_bytes();
-  const uint64_t writes = libfs()->direct_write_bytes();
-  std::string buf(kPage, '\0');
-  ASSERT_TRUE(plain.Pread(*fd, 0, std::span<char>(buf.data(), kPage)).ok());
-  ASSERT_TRUE(plain.Pread(*fd, 0, std::span<char>(buf.data(), kPage)).ok());
-  ASSERT_TRUE(plain.Pwrite(*fd, 0, Bytes(page)).ok());
-  ASSERT_TRUE(plain.Pwrite(*fd, 0, Bytes(page)).ok());
+  for (int i = 0; i < 2; ++i) {
+    auto got = flat.Get("off");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, value);
+  }
   EXPECT_EQ(libfs()->direct_read_bytes(), reads);
-  EXPECT_EQ(libfs()->direct_write_bytes(), writes);
-  ASSERT_TRUE(plain.Close(*fd).ok());
 }
 
 TEST_F(DirectPathTest, RevocationBumpsEpochAndForcesLockedPath) {
-  MakeFile("/d/s", 1, 'A');
-  auto fd = fs_->Open("/d/s", kOpenRead);
-  ASSERT_TRUE(fd.ok());
-  std::string buf(kPage, '\0');
-  // Warm and confirm the map is live.
-  ASSERT_TRUE(fs_->Pread(*fd, 0, std::span<char>(buf.data(), kPage)).ok());
+  FlatFs flat(client_->fs());
+  const std::string v1(kPage, 'A');
+  ASSERT_TRUE(flat.Put("k", Bytes(v1)).ok());
+  // The put cached the value location: the get is direct.
   const uint64_t before = libfs()->direct_read_bytes();
-  ASSERT_TRUE(fs_->Pread(*fd, 0, std::span<char>(buf.data(), kPage)).ok());
+  auto got = flat.Get("k");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, v1);
   ASSERT_EQ(libfs()->direct_read_bytes(), before + kPage);
 
   LockClerk* clerk = client_->fs()->clerk();
   const uint64_t epoch = clerk->direct_epoch();
 
-  // A second client takes the file lock for write: our cached authority is
-  // revoked, which must bump the direct epoch before the grant moves.
+  // A second client puts the same key: our cached bucket lock is revoked,
+  // which must bump the direct epoch before the grant moves.
   auto client2 = sys_->NewClient(EagerClientOptions());
   ASSERT_TRUE(client2.ok());
-  Pxfs fs2((*client2)->fs());
-  auto fd2 = fs2.Open("/d/s", kOpenWrite);
-  ASSERT_TRUE(fd2.ok()) << fd2.status().ToString();
-  const std::string page(kPage, 'B');
-  ASSERT_TRUE(fs2.Pwrite(*fd2, 0, Bytes(page)).ok());
-  ASSERT_TRUE(fs2.Close(*fd2).ok());
+  FlatFs flat2((*client2)->fs());
+  const std::string v2(kPage, 'B');
+  ASSERT_TRUE(flat2.Put("k", Bytes(v2)).ok());
 
   EXPECT_GT(clerk->direct_epoch(), epoch);
   // A pin attempt against the pre-revoke epoch must be refused and counted.
@@ -230,59 +129,112 @@ TEST_F(DirectPathTest, RevocationBumpsEpochAndForcesLockedPath) {
   EXPECT_FALSE(clerk->TryEnterDirect(epoch));
   EXPECT_EQ(clerk->direct_fallbacks(), fallbacks + 1);
 
-  // Our next read re-acquires and must see the other client's bytes.
-  ASSERT_TRUE(fs_->Pread(*fd, 0, std::span<char>(buf.data(), kPage)).ok());
-  EXPECT_EQ(buf, page);
-  // ... and the map re-warms under the new epoch.
-  const uint64_t direct = libfs()->direct_read_bytes();
-  ASSERT_TRUE(fs_->Pread(*fd, 0, std::span<char>(buf.data(), kPage)).ok());
-  EXPECT_EQ(libfs()->direct_read_bytes(), direct + kPage);
-  EXPECT_EQ(buf, page);
-  ASSERT_TRUE(fs_->Close(*fd).ok());
+  // Our next get re-acquires through the locked path and must see the other
+  // client's value.
+  const uint64_t locked = libfs()->direct_read_bytes();
+  got = flat.Get("k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, v2);
+  EXPECT_EQ(libfs()->direct_read_bytes(), locked);
+  // ... and the value location re-warms under the new epoch.
+  got = flat.Get("k");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, v2);
+  EXPECT_EQ(libfs()->direct_read_bytes(), locked + kPage);
 }
 
-// A reader hammering the direct path while another client overwrites the
-// same page must never observe a torn page: direct access is epoch-pinned,
-// and the writer's grant cannot complete until in-flight pins retire.
-TEST_F(DirectPathTest, ConcurrentWriterNeverTearsDirectReads) {
+// Runs `read` on a thread from before `write` starts until it is done;
+// `read` returns false on a torn or failed read. Returns how many reads were
+// torn (0 or 1).
+template <typename Read, typename Write>
+int TornReadsDuring(Read read, Write write) {
+  std::atomic<bool> stop{false};
+  std::atomic<bool> started{false};
+  std::atomic<int> torn{0};
+  std::thread reader([&] {
+    do {
+      if (!read()) {
+        torn.fetch_add(1);
+        break;
+      }
+      started.store(true);
+    } while (!stop.load());
+    started.store(true);
+  });
+  while (!started.load()) {
+    std::this_thread::yield();
+  }
+  write();
+  stop.store(true);
+  reader.join();
+  return torn.load();
+}
+
+// True if `buf` holds `size` bytes of one fill, 'A' or 'B'.
+bool Uniform(const std::string& buf, uint64_t size) {
+  const char c = buf[0];
+  return (c == 'A' || c == 'B') &&
+         std::string_view(buf.data(), size) == std::string(size, c);
+}
+
+// A reader hammering a page while another client overwrites it must never
+// observe a torn page: each read holds the file's shared lock, and the
+// writer's exclusive grant waits for the reader's revoke and drain before
+// the first byte moves.
+TEST_F(DirectPathTest, ConcurrentWriterNeverTearsPxfsReads) {
   MakeFile("/d/t", 1, 'A');
   auto fd = fs_->Open("/d/t", kOpenRead);
   ASSERT_TRUE(fd.ok());
-  std::string warm(kPage, '\0');
-  ASSERT_TRUE(fs_->Pread(*fd, 0, std::span<char>(warm.data(), kPage)).ok());
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> torn{0};
-  std::thread reader([&] {
-    std::string buf(kPage, '\0');
-    while (!stop.load()) {
-      auto n = fs_->Pread(*fd, 0, std::span<char>(buf.data(), kPage));
-      if (!n.ok() || *n != kPage) {
-        torn.fetch_add(1);
-        break;
-      }
-      const char c = buf[0];
-      if ((c != 'A' && c != 'B') ||
-          buf != std::string(kPage, c)) {
-        torn.fetch_add(1);
-        break;
-      }
-    }
-  });
-
+  std::string buf(kPage, '\0');
   auto client2 = sys_->NewClient(EagerClientOptions());
   ASSERT_TRUE(client2.ok());
   Pxfs fs2((*client2)->fs());
   auto fd2 = fs2.Open("/d/t", kOpenWrite);
   ASSERT_TRUE(fd2.ok());
-  for (int i = 0; i < 60; ++i) {
-    const std::string page(kPage, (i % 2) ? 'A' : 'B');
-    ASSERT_TRUE(fs2.Pwrite(*fd2, 0, Bytes(page)).ok());
-  }
+
+  const int torn = TornReadsDuring(
+      [&] {
+        auto n = fs_->Pread(*fd, 0, std::span<char>(buf.data(), kPage));
+        return n.ok() && *n == kPage && Uniform(buf, kPage);
+      },
+      [&] {
+        for (int i = 0; i < 60; ++i) {
+          const std::string page(kPage, (i % 2) ? 'A' : 'B');
+          ASSERT_TRUE(fs2.Pwrite(*fd2, 0, Bytes(page)).ok());
+        }
+      });
+  EXPECT_EQ(torn, 0);
   ASSERT_TRUE(fs2.Close(*fd2).ok());
-  stop.store(true);
-  reader.join();
-  EXPECT_EQ(torn.load(), 0);
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+}
+
+// The same for FlatFS gets served from the value cache while a second
+// client keeps replacing the value: a direct get is epoch-pinned, and the
+// put's grant cannot complete until in-flight pins retire, so a get never
+// copies from storage the replacement recycled.
+TEST_F(DirectPathTest, ConcurrentPutsNeverTearFlatFsGets) {
+  FlatFs flat(client_->fs());
+  ASSERT_TRUE(flat.Put("t", Bytes(std::string(kPage, 'A'))).ok());
+  std::string buf(kPage, '\0');
+  auto client2 = sys_->NewClient(EagerClientOptions());
+  ASSERT_TRUE(client2.ok());
+  FlatFs flat2((*client2)->fs());
+
+  const uint64_t direct = libfs()->direct_read_bytes();
+  const int torn = TornReadsDuring(
+      [&] {
+        auto n = flat.Get("t", std::span<char>(buf.data(), kPage));
+        return n.ok() && *n == kPage && Uniform(buf, kPage);
+      },
+      [&] {
+        for (int i = 0; i < 60; ++i) {
+          const std::string value(kPage, (i % 2) ? 'A' : 'B');
+          ASSERT_TRUE(flat2.Put("t", Bytes(value)).ok());
+        }
+      });
+  EXPECT_EQ(torn, 0);
+  EXPECT_GT(libfs()->direct_read_bytes(), direct)
+      << "no get took the direct path; the race was not exercised";
 }
 
 TEST_F(DirectPathTest, FlatFsGetsGoDirectAndStayCoherent) {
@@ -307,50 +259,6 @@ TEST_F(DirectPathTest, FlatFsGetsGoDirectAndStayCoherent) {
 
   ASSERT_TRUE(flat.Erase("k").ok());
   EXPECT_EQ(flat.Get("k").status().code(), ErrorCode::kNotFound);
-}
-
-TEST_F(DirectPathTest, DirectReadsOutlastTheSnapshotBound) {
-  // The snapshot cache has the name cache's bound: 64 here, for 100 files.
-  Pxfs::Options options;
-  options.name_cache_max = 64;
-  Pxfs fs(libfs(), options);
-  auto path = [](int i) { return "/d/s" + std::to_string(i); };
-  const std::string data(kPage, 's');
-  std::vector<int> fds;
-  for (int i = 0; i < 100; ++i) {
-    auto fd = fs.Open(path(i), kOpenCreate | kOpenWrite | kOpenRead);
-    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-    ASSERT_TRUE(fs.Write(*fd, Bytes(data)).ok());
-    fds.push_back(*fd);
-  }
-  std::string buf(kPage, '\0');
-  auto read = [&](int i) {
-    auto n = fs.Pread(fds[i], 0, std::span<char>(buf.data(), buf.size()));
-    ASSERT_TRUE(n.ok());
-    ASSERT_EQ(*n, kPage);
-    ASSERT_EQ(buf, data);
-  };
-  for (int i = 0; i < 100; ++i) {
-    read(i);  // builds a snapshot per file: 36 more than the bound
-  }
-  // Eight hot files among a stream of cold ones: once warm, every hot read
-  // is direct although each round evicts snapshots.
-  for (int round = 0; round < 30; ++round) {
-    const uint64_t before = libfs()->direct_read_bytes();
-    for (int i = 0; i < 8; ++i) {
-      read(i);
-    }
-    if (round > 0) {
-      EXPECT_EQ(libfs()->direct_read_bytes(), before + 8 * kPage)
-          << "round " << round;
-    }
-    for (int k = 0; k < 4; ++k) {
-      read(8 + (round * 4 + k) % 92);
-    }
-  }
-  for (int fd : fds) {
-    ASSERT_TRUE(fs.Close(fd).ok());
-  }
 }
 
 // --- Crash simulation -----------------------------------------------------
@@ -457,29 +365,21 @@ CrashSimulator::Checker RebootChecker(const std::vector<std::string>* durable) {
   };
 }
 
-// Shared flow for the direct-overwrite sweeps: prime a file, warm a writable
-// map, attach the simulator (optionally suppressing a site), run an
-// acknowledged direct overwrite, and enumerate at an explicit post-ack
-// point. The oracle reads the page bytes straight out of the crash image at
-// the extent's region offset: once the overwrite has been acknowledged, an
-// image whose page is not entirely the new fill proves the flush protocol
-// lost acknowledged bytes.
-void RunDirectOverwriteSweep(const char* tag, const char* suppress_site,
-                             bool expect_detect) {
+// Shared flow for the overwrite sweeps: prime a one-page file (its extent
+// attach ships at once), attach the simulator (optionally suppressing a
+// site), run an acknowledged in-place Pwrite overwrite through the locked
+// path, and enumerate at an explicit post-ack point. The oracle reads the
+// page bytes straight out of the crash image at the extent's region offset:
+// once the overwrite has been acknowledged, an image whose page is not
+// entirely the new fill proves the flush protocol lost acknowledged bytes.
+void RunOverwriteSweep(const char* tag, const char* suppress_site,
+                       bool expect_detect) {
   CrashRig t = BootPrimedRig(EagerClientOptions());
   ASSERT_TRUE(t.fs->Create("/w/f").ok());
   auto fd = t.fs->Open("/w/f", kOpenRead | kOpenWrite);
   ASSERT_TRUE(fd.ok());
   const std::string base(kPage, 'A');
   ASSERT_TRUE(t.fs->Pwrite(*fd, 0, Bytes(base)).ok());
-
-  // Warm the writable map and prove the direct path is live before the
-  // simulator attaches (the mutation must exercise WriteDirect).
-  ASSERT_TRUE(t.fs->Pwrite(*fd, 0, Bytes(std::string(kPage, 'C'))).ok());
-  const uint64_t direct_before = t.client->fs()->direct_write_bytes();
-  ASSERT_TRUE(t.fs->Pwrite(*fd, 0, Bytes(std::string(kPage, 'D'))).ok());
-  ASSERT_GT(t.client->fs()->direct_write_bytes(), direct_before)
-      << "overwrite did not take the direct path; nothing to mutate";
 
   // Locate the page in the region so the oracle can read it raw.
   auto st = t.fs->Stat("/w/f");
@@ -506,8 +406,7 @@ void RunDirectOverwriteSweep(const char* tag, const char* suppress_site,
       return Status(ErrorCode::kIoError, "short read from crash image");
     }
     if (page != std::string(kPage, 'B')) {
-      return Status(ErrorCode::kCorrupted,
-                    "acknowledged direct overwrite lost");
+      return Status(ErrorCode::kCorrupted, "acknowledged overwrite lost");
     }
     return OkStatus();
   };
@@ -533,7 +432,11 @@ void RunDirectOverwriteSweep(const char* tag, const char* suppress_site,
   // The overwrite is acknowledged; from here on the page must be all-'B' in
   // every enumerated image.
   acked->store(true);
-  t.sys->scm_region()->CrashPoint("test.direct_write.acked");
+  t.sys->scm_region()->CrashPoint("test.overwrite.acked");
+  // It was in place: the page still maps the extent the oracle reads.
+  auto after = mfile->ExtentForPage(0);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(*after, page_off);
 
   if (expect_detect) {
     EXPECT_FALSE(sim.ok())
@@ -552,15 +455,15 @@ void RunDirectOverwriteSweep(const char* tag, const char* suppress_site,
 
 // With the BFlush in place, every enumerated state post-ack carries the
 // acknowledged bytes.
-TEST(DirectPathCrashTest, CleanSweepDirectOverwriteIsDurableOnAck) {
-  RunDirectOverwriteSweep("clean", nullptr, /*expect_detect=*/false);
+TEST(DirectPathCrashTest, CleanSweepOverwriteIsDurableOnAck) {
+  RunOverwriteSweep("clean", nullptr, /*expect_detect=*/false);
 }
 
 // Without it, the streamed page can sit in WC buffers while the app treats
 // the write as done — the oracle must catch at least one such image.
-TEST(DirectPathCrashTest, DetectsSuppressedDirectWriteBFlush) {
-  RunDirectOverwriteSweep("mut_bflush", "libfs.direct.write.bflush",
-                          /*expect_detect=*/true);
+TEST(DirectPathCrashTest, DetectsSuppressedPxfsWriteBFlush) {
+  RunOverwriteSweep("mut_bflush", "pxfs.write.bflush",
+                    /*expect_detect=*/true);
 }
 
 // Crash states enumerated while a revoke forces a lazy client to ship its

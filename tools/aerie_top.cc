@@ -359,9 +359,9 @@ void RenderText(const Options& opt, const Sample& cur) {
     }
   }
 
-  // Zero-RPC direct data path (DESIGN.md §10): bytes served straight from
+  // FlatFS's direct value cache (DESIGN.md §10): bytes served straight from
   // mapped SCM under the clerk's direct-access epoch, plus how often a
-  // stale epoch or in-flight revoke pushed an op back onto the locked path.
+  // stale epoch or in-flight revoke pushed a get back onto the locked path.
   {
     auto counter = [&cur](const char* name) {
       return CounterOf(cur.merged, name);
@@ -370,16 +370,13 @@ void RenderText(const Options& opt, const Sample& cur) {
       return static_cast<uint64_t>(PerSec(cur, CounterOf(cur.interval, name)));
     };
     const uint64_t read_bytes = counter("libfs.direct.read_bytes");
-    const uint64_t write_bytes = counter("libfs.direct.write_bytes");
     const uint64_t grants = counter("clerk.direct.grant");
-    if (read_bytes != 0 || write_bytes != 0 || grants != 0) {
+    if (read_bytes != 0 || grants != 0) {
       std::printf(
-          "\ndirect path: read %s (%s/s), write %s (%s/s), grants %s, "
-          "fallbacks %s (clerk %s)\n",
+          "\ndirect path: read %s (%s/s), grants %s, fallbacks %s "
+          "(clerk %s)\n",
           PrettyBytes(read_bytes).c_str(),
           PrettyBytes(rate("libfs.direct.read_bytes")).c_str(),
-          PrettyBytes(write_bytes).c_str(),
-          PrettyBytes(rate("libfs.direct.write_bytes")).c_str(),
           PrettyCount(static_cast<double>(grants)).c_str(),
           PrettyCount(static_cast<double>(counter("libfs.direct.fallback")))
               .c_str(),

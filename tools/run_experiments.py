@@ -3,7 +3,7 @@
 
     tools/run_experiments.py [--build-dir build] [--raw FILE]
 
-Runs the 13 binaries in bench/ one after another at the scales below (each
+Runs the 12 binaries in bench/ one after another at the scales below (each
 sized to finish in a minute or two on a small host; AERIE_BENCH_SCALE=1.0
 with longer windows reproduces the paper's sizes), with AERIE_OBS=counters
 and AERIE_BENCH_SEED=42. Every other AERIE_* variable passes through, so
@@ -37,7 +37,6 @@ EXPERIMENTS = [
     ("ablation_name_cache", "MEASURED_NAMECACHE", 0.2, 2, 1, []),
     ("ablation_lock_modes", "MEASURED_LOCKMODES", 0.1, 2, 1, []),
     ("ablation_rpc_cost", "MEASURED_RPC", 0.05, 1, 1, []),
-    ("ablation_direct_path", None, 0.1, 1, 1, []),
     ("gbench_primitives", "MEASURED_GBENCH", 0.1, 1, 1,
      ["--benchmark_min_time=0.2"]),
 ]
