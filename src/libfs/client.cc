@@ -110,18 +110,59 @@ uint64_t WireBytes(const MetaOp& op) {
          op.extents.size() * sizeof(uint64_t);
 }
 
+// Folds `op` into the pending `batch` when it only extends a file the batch
+// already extends; false means `op` must be appended as its own op. A fold
+// moves an attach ahead of kSetSize ops on its own file only, which cannot
+// change the state the batch leaves: kSetSize writes the size word alone.
+bool FoldInto(std::vector<MetaOp>* batch, const MetaOp& op) {
+  if (batch->empty()) {
+    return false;
+  }
+  if (op.type == MetaOpType::kSetSize) {
+    MetaOp& last = batch->back();
+    if (last.type != MetaOpType::kSetSize || last.obj != op.obj ||
+        last.authority != op.authority) {
+      return false;
+    }
+    last.a = op.a;
+    return true;
+  }
+  if (op.type != MetaOpType::kAttachExtent) {
+    return false;
+  }
+  auto run = batch->rbegin();
+  while (run != batch->rend() && run->type == MetaOpType::kSetSize &&
+         run->obj == op.obj) {
+    ++run;
+  }
+  if (run == batch->rend() || run->type != MetaOpType::kAttachExtent ||
+      run->obj != op.obj || run->authority != op.authority ||
+      run->a + run->extents.size() != op.a ||
+      run->extents.size() + op.extents.size() > LibFs::kMaxFoldedRunPages) {
+    return false;
+  }
+  run->extents.insert(run->extents.end(), op.extents.begin(),
+                      op.extents.end());
+  return true;
+}
+
 }  // namespace
 
-Status LibFs::LogOps(std::vector<MetaOp> ops) {
+Status LibFs::LogOps(std::span<MetaOp> ops) {
   std::unique_lock lock(batch_mu_);
   for (MetaOp& op : ops) {
-    batch_bytes_ += WireBytes(op);
-    batch_.push_back(std::move(op));
+    if (FoldInto(&batch_, op)) {
+      batch_bytes_ += op.extents.size() * sizeof(uint64_t);
+    } else {
+      batch_bytes_ += WireBytes(op);
+      batch_.push_back(std::move(op));
+    }
   }
+  batch_logged_ += ops.size();
   logged_seq_.fetch_add(ops.size());
   ops_logged_.Add(ops.size());
   pending_ops_gauge_.Set(static_cast<int64_t>(batch_.size()));
-  if (batch_.size() >= options_.max_pending_ops) {
+  if (batch_logged_ >= options_.max_pending_ops) {
     return ShipBatchLocked(&lock);  // backpressure: producer pays the ship
   }
   if (batch_bytes_ >= options_.batch_max_bytes) {
@@ -138,26 +179,7 @@ Status LibFs::LogOps(std::vector<MetaOp> ops) {
 }
 
 Status LibFs::LogOp(MetaOp op) {
-  std::unique_lock lock(batch_mu_);
-  batch_bytes_ += WireBytes(op);
-  batch_.push_back(std::move(op));
-  logged_seq_.fetch_add(1);
-  ops_logged_.Add(1);
-  pending_ops_gauge_.Set(static_cast<int64_t>(batch_.size()));
-  if (batch_.size() >= options_.max_pending_ops) {
-    return ShipBatchLocked(&lock);  // backpressure: producer pays the ship
-  }
-  if (batch_bytes_ >= options_.batch_max_bytes) {
-    if (flusher_.joinable()) {
-      flush_cv_.notify_all();  // background ship; don't stall the caller
-      return OkStatus();
-    }
-    return ShipBatchLocked(&lock);
-  }
-  if (options_.eager_ship) {
-    return ShipBatchLocked(&lock);
-  }
-  return OkStatus();
+  return LogOps({&op, 1});
 }
 
 Status LibFs::ShipBatchLocked(std::unique_lock<std::mutex>* lock) {
@@ -196,6 +218,7 @@ Status LibFs::ShipBatchLocked(std::unique_lock<std::mutex>* lock) {
       through = logged_seq_.load();
       ops.swap(batch_);
       batch_bytes_ = 0;
+      batch_logged_ = 0;
       pending_ops_gauge_.Set(0);
     }
     if (!ops.empty()) {

@@ -50,7 +50,8 @@ class LibFs {
     // absorb a multi-megabyte apply pause. 0 disables the flusher (ships
     // synchronously at the threshold instead).
     uint64_t flush_interval_ms = 50;
-    // Backpressure: once this many ops are buffered, producers ship inline
+    // Backpressure: once this many ops are logged (folded ones included)
+    // without a ship, producers ship inline
     // instead of racing ahead of the service. Bounds the storage "float"
     // (pool objects held by unapplied ops) when the client outruns the TFS.
     uint64_t max_pending_ops = 4096;
@@ -80,8 +81,18 @@ class LibFs {
   // --- Metadata batching ---
   // Buffers `op`; ships the batch if it crossed the threshold.
   Status LogOp(MetaOp op);
-  // Buffers several ops under one lock (multi-extent writes).
-  Status LogOps(std::vector<MetaOp> ops);
+  // Buffers several ops under one lock (multi-extent writes), moving them
+  // out of `ops`. An op that only extends a file the pending batch already
+  // extends folds into the batch instead of adding to it (DESIGN.md §6
+  // item 1): a kAttachExtent joins an earlier run on the same file that
+  // ends where it starts, cites the same authority and has only kSetSize
+  // ops on that file after it; a kSetSize replaces a trailing kSetSize on
+  // the same file and authority.
+  Status LogOps(std::span<MetaOp> ops);
+  // A folded run stops growing at this many pages. Its WAL record is then at
+  // most ~8.3 KB, well inside the redo log (16 MB by default, 1 MB in the
+  // crash tests).
+  static constexpr uint64_t kMaxFoldedRunPages = 1024;
   // Ships all buffered ops now (the library's fsync-equivalent,
   // libfs_sync in the paper).
   Status Sync();
@@ -89,7 +100,9 @@ class LibFs {
   Status SyncAndReleaseLocks();
 
   uint64_t batches_shipped() const { return batches_shipped_.value(); }
+  // Logical ops: a folded op counts here and in logged_seq().
   uint64_t ops_logged() const { return ops_logged_.value(); }
+  // Ops the next ship sends: a folded op adds none.
   uint64_t pending_ops() const;
   // Ops are numbered from 1 in logging order. Ships keep that order, so
   // every op numbered up to shipped_seq() has reached the TFS (applied, or
@@ -164,6 +177,7 @@ class LibFs {
   std::mutex ship_mu_;
   std::vector<MetaOp> batch_;
   uint64_t batch_bytes_ = 0;
+  uint64_t batch_logged_ = 0;  // logical ops in batch_, folded ones included
   std::atomic<uint64_t> logged_seq_{0};  // advanced under batch_mu_
   std::atomic<uint64_t> shipped_seq_{0};
   // Batch statistics live in the obs registry for this mount's lifetime.

@@ -610,7 +610,7 @@ Result<uint64_t> Pxfs::WriteAt(Oid file, uint64_t offset,
   static const int kFlushSite = RegisterPersistSite("pxfs.write.bflush");
   ctx_.region->BFlush(kFlushSite);
   if (!attach_ops.empty()) {
-    AERIE_RETURN_IF_ERROR(fs_->LogOps(std::move(attach_ops)));
+    AERIE_RETURN_IF_ERROR(fs_->LogOps(attach_ops));
   }
   AERIE_COUNT_N("pxfs.api.logical_write_bytes", data.size());
   return data.size();

@@ -7,6 +7,9 @@
 //  * CrashSimTest.RunAttach*: a 5-page append + Fsync, one page-run attach;
 //    every image must hold the run whole or not at all, leak no pooled
 //    extent, and keep the acknowledged append.
+//  * CrashSimTest.FoldedAppends*: four 2-page appends buffered by libFS and
+//    folded into one run and one kSetSize, then one Fsync; the same oracle,
+//    so an image with an intermediate size fails it.
 //  * CrashSimTest.RedoLog*: the redo log alone under the simulator, covering
 //    the torn-truncate window, Rollback after a partial append, and the
 //    kOutOfSpace apply+truncate boundary.
@@ -55,6 +58,13 @@ LibFs::Options EagerClientOptions() {
   options.flush_interval_ms = 0;  // no background flusher thread
   options.pool_low_water = 4;
   options.pool_refill = 64;
+  return options;
+}
+
+// Ops wait in the batch until a sync ships them, so appends fold.
+LibFs::Options BufferedClientOptions() {
+  LibFs::Options options = EagerClientOptions();
+  options.eager_ship = false;
   return options;
 }
 
@@ -137,15 +147,16 @@ struct SystemUnderTest {
   std::vector<std::string> durable;
 };
 
-// Boots a fresh system and primes it (client pools granted, /w created)
-// so a simulator attached afterwards spends its image budget on the
-// create/write protocol rather than on connection bootstrap.
-SystemUnderTest BootPrimedSystem() {
+// Boots a fresh system and primes it (client pools granted, /w created and
+// shipped) so a simulator attached afterwards spends its image budget on
+// the create/write protocol rather than on connection bootstrap.
+SystemUnderTest BootPrimedSystem(
+    const LibFs::Options& client_options = EagerClientOptions()) {
   SystemUnderTest t;
   auto sys = AerieSystem::Create(SmallSystemOptions());
   EXPECT_TRUE(sys.ok()) << sys.status().ToString();
   t.sys = std::move(*sys);
-  auto client = t.sys->NewClient(EagerClientOptions());
+  auto client = t.sys->NewClient(client_options);
   EXPECT_TRUE(client.ok()) << client.status().ToString();
   t.client = std::move(*client);
   t.fs = std::make_unique<Pxfs>(t.client->fs());
@@ -160,6 +171,7 @@ SystemUnderTest BootPrimedSystem() {
                                                      data.size()))
                   .ok());
   EXPECT_TRUE(t.fs->Close(*fd).ok());
+  EXPECT_TRUE(t.fs->SyncAll().ok());
   t.durable.push_back("/w/prime");
   return t;
 }
@@ -456,19 +468,28 @@ TEST(CrashSimTest, RedoLogOutOfSpaceTruncateBoundaryIsSafe) {
 
 // --- Page-run attach ------------------------------------------------------
 
-// A 5-page append is one kAttachExtent run (plus kSetSize). Whatever fence
-// the crash lands on, recovery must see the run whole or not at all, with
-// no pooled extent leaked and the acknowledged append intact.
-constexpr uint64_t kRunPages = 5;
-constexpr char kRunPath[] = "/w/run";
+// Appends to a new, empty file at `path`: `pieces` equal writes of `pages`
+// pages in all, then one Fsync. A 5-page append is one kAttachExtent run
+// (plus kSetSize); so are back-to-back appends that libFS folds. Whatever
+// fence the crash lands on, recovery must see the run whole or not at all,
+// the old size or the final one, no pooled extent leaked and the
+// acknowledged appends intact.
+struct AppendRun {
+  const char* path;
+  uint64_t pages;
+  uint64_t pieces;
 
-std::string RunPayload() {
-  std::string data(kRunPages * kScmPageSize, '\0');
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<char>('a' + (i / kScmPageSize) * 3 + i % 3);
+  std::string Payload() const {
+    std::string data(pages * kScmPageSize, '\0');
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<char>('a' + (i / kScmPageSize) * 3 + i % 3);
+    }
+    return data;
   }
-  return data;
-}
+};
+
+constexpr AppendRun kOneRun{"/w/run", 5, 1};
+constexpr AppendRun kFoldedRun{"/w/folded", 8, 4};
 
 // Extents in the client's persistent pool table: the candidates the run
 // takes its extents from.
@@ -492,9 +513,10 @@ std::vector<uint64_t> PooledExtents(AerieSystem* sys, uint64_t client_id) {
   return out;
 }
 
-CrashSimulator::Checker RunAttachChecker(const std::vector<uint64_t>* pooled,
+CrashSimulator::Checker RunAttachChecker(const AppendRun& run,
+                                         const std::vector<uint64_t>* pooled,
                                          const bool* acked) {
-  return [pooled, acked](const std::string& image_path) -> Status {
+  return [run, pooled, acked](const std::string& image_path) -> Status {
     auto corrupted = [](const std::string& msg) {
       return Status(ErrorCode::kCorrupted, msg);
     };
@@ -517,7 +539,7 @@ CrashSimulator::Checker RunAttachChecker(const std::vector<uint64_t>* pooled,
       return client.status();
     }
     Pxfs fs((*client)->fs());
-    auto st = fs.Stat(kRunPath);
+    auto st = fs.Stat(run.path);
     if (!st.ok()) {
       return corrupted("file created before the append is missing");
     }
@@ -531,23 +553,23 @@ CrashSimulator::Checker RunAttachChecker(const std::vector<uint64_t>* pooled,
       mapped.insert(extent);
       return true;
     });
-    if (!mapped.empty() && mapped.size() != kRunPages) {
+    if (!mapped.empty() && mapped.size() != run.pages) {
       return corrupted("run partially attached: " +
                        std::to_string(mapped.size()) + " pages");
     }
     // Prefix oracle: kSetSize follows the run, and Fsync acknowledged both.
-    const std::string want = RunPayload();
+    const std::string want = run.Payload();
     if (st->size != 0 && st->size != want.size()) {
       return corrupted("torn size " + std::to_string(st->size));
     }
-    if (st->size == want.size() && mapped.size() != kRunPages) {
+    if (st->size == want.size() && mapped.size() != run.pages) {
       return corrupted("size covers pages the run never attached");
     }
     if (*acked && st->size != want.size()) {
       return corrupted("acknowledged append lost");
     }
     if (st->size == want.size()) {
-      auto fd = fs.Open(kRunPath, kOpenRead);
+      auto fd = fs.Open(run.path, kOpenRead);
       if (!fd.ok()) {
         return fd.status();
       }
@@ -584,15 +606,16 @@ struct SimOutcome {
   std::string report;
 };
 
-// Enumerates crash images at every fence of a 5-page append + Fsync, with
+// Enumerates crash images at every fence of `run`'s appends + Fsync, with
 // the persist site `suppress` (null: none) made to never happen.
-SimOutcome RunAttachUnderSim(SystemUnderTest* t, const char* tag,
-                             const char* suppress) {
-  auto fd = t->fs->Open(kRunPath, kOpenCreate | kOpenWrite);
+SimOutcome RunAttachUnderSim(SystemUnderTest* t, const AppendRun& run,
+                             const char* tag, const char* suppress) {
+  auto fd = t->fs->Open(run.path, kOpenCreate | kOpenWrite);
   EXPECT_TRUE(fd.ok());
+  EXPECT_TRUE(t->fs->SyncAll().ok());  // the create ships before the sim
   const std::vector<uint64_t> pooled =
       PooledExtents(t->sys.get(), t->client->id());
-  EXPECT_GE(pooled.size(), kRunPages);
+  EXPECT_GE(pooled.size(), run.pages);
   bool acked = false;
 
   CrashSimOptions options;
@@ -607,14 +630,17 @@ SimOutcome RunAttachUnderSim(SystemUnderTest* t, const char* tag,
   SimOutcome outcome;
   {
     CrashSimulator sim(t->sys->scm_region(), options,
-                       RunAttachChecker(&pooled, &acked));
+                       RunAttachChecker(run, &pooled, &acked));
     if (suppress != nullptr) {
       sim.SuppressSite(RegisterPersistSite(suppress));
     }
-    const std::string data = RunPayload();
-    EXPECT_TRUE(
-        t->fs->Write(*fd, std::span<const char>(data.data(), data.size()))
-            .ok());
+    const std::string data = run.Payload();
+    const uint64_t piece = data.size() / run.pieces;
+    for (uint64_t off = 0; off < data.size(); off += piece) {
+      EXPECT_TRUE(
+          t->fs->Write(*fd, std::span<const char>(data.data() + off, piece))
+              .ok());
+    }
     EXPECT_TRUE(t->fs->Fsync(*fd).ok());
     acked = true;
     outcome = {sim.ok(), sim.images_checked(),
@@ -627,9 +653,22 @@ SimOutcome RunAttachUnderSim(SystemUnderTest* t, const char* tag,
 
 TEST(CrashSimTest, RunAttachIsAllOrNothingAtEveryFence) {
   SystemUnderTest t = BootPrimedSystem();
-  const SimOutcome sim = RunAttachUnderSim(&t, "run_attach", nullptr);
+  const SimOutcome sim = RunAttachUnderSim(&t, kOneRun, "run_attach", nullptr);
   EXPECT_TRUE(sim.ok) << sim.report;
   // About 20 fences, 5 images each; a smaller budget caps the count.
+  EXPECT_GE(sim.images, std::min<uint64_t>(50, sim.budget)) << sim.report;
+  std::fprintf(stderr, "%s\n", sim.report.c_str());
+}
+
+// Four appends wait in the batch and ship on one Fsync. Unfolded they are
+// eight ops, four commits of which publish an intermediate size; folded
+// they are one run and one kSetSize, so every image holds the old size or
+// the final one.
+TEST(CrashSimTest, FoldedAppendsAreAllOrNothingAtEveryFence) {
+  SystemUnderTest t = BootPrimedSystem(BufferedClientOptions());
+  const SimOutcome sim =
+      RunAttachUnderSim(&t, kFoldedRun, "folded_appends", nullptr);
+  EXPECT_TRUE(sim.ok) << sim.report;
   EXPECT_GE(sim.images, std::min<uint64_t>(50, sim.budget)) << sim.report;
   std::fprintf(stderr, "%s\n", sim.report.c_str());
 }
@@ -683,7 +722,7 @@ TEST(CrashMutationTest, DetectsSuppressedCommitPublishFlush) {
 TEST(CrashMutationTest, DetectsSuppressedAttachRunFlush) {
   SystemUnderTest t = BootPrimedSystem();
   const SimOutcome sim =
-      RunAttachUnderSim(&t, "mut_attach", "mfile.attach.flush");
+      RunAttachUnderSim(&t, kOneRun, "mut_attach", "mfile.attach.flush");
   EXPECT_FALSE(sim.ok) << "suppressing mfile.attach.flush was not detected\n"
                        << sim.report;
   std::fprintf(stderr, "detected mfile.attach.flush:\n%s\n",
